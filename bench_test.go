@@ -20,8 +20,8 @@ import (
 	"broadway"
 
 	"broadway/internal/core"
+	"broadway/internal/eventq"
 	"broadway/internal/experiments"
-	"broadway/internal/sched"
 	"broadway/internal/simtime"
 	"broadway/internal/tracegen"
 )
@@ -409,10 +409,9 @@ func BenchmarkProxyChurnParallel(b *testing.B) {
 // operation the dispatcher performs per poll, formerly an O(n) scan.
 func BenchmarkRefreshSchedulerThroughput(b *testing.B) {
 	const objects = 10_000
-	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	var s sched.Heap
+	var s eventq.Queue
 	for i := 0; i < objects; i++ {
-		s.Push(epoch.Add(time.Duration(i)*time.Millisecond), i)
+		s.Push(simtime.At(time.Duration(i)*time.Millisecond), i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

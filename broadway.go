@@ -12,7 +12,10 @@
 // live in internal/ packages:
 //
 //	internal/core         consistency policies (the paper's contribution)
+//	                      and the per-object refresh step both proxies drive
 //	internal/sim          deterministic discrete-event engine
+//	internal/eventq       tie-broken min-heap ordering simulated events
+//	                      and the live proxy's refresh schedule
 //	internal/origin       simulated origin server
 //	internal/proxy        simulated caching proxy
 //	internal/metrics      fidelity evaluation (Eq. 13/14, mutual semantics)
@@ -25,7 +28,6 @@
 //	internal/webproxy     live HTTP caching proxy (the Squid future work)
 //	internal/push         origin-driven invalidation channel (hybrid push–pull)
 //	internal/ops          operational surface (/metrics, /healthz, admin API)
-//	internal/sched        wall-clock min-heap refresh schedule
 //	internal/singleflight duplicate-suppressed cache admission
 //
 // # Live proxy architecture

@@ -31,7 +31,15 @@
 //
 // Policies are pure single-threaded state machines: they consume only
 // protocol-visible poll outcomes ([PollOutcome]) and produce the next TTR.
-// This makes the identical implementations usable both inside the
-// deterministic simulator (internal/proxy) and inside the live HTTP proxy
-// (internal/webproxy).
+//
+// # Refresh step
+//
+// [Refresh] is the glue around the policies, written once: given an
+// object's consistency state, the kind of poll (regular, triggered or
+// pushed) and what the upstream revealed, it builds the [PollOutcome],
+// applies the first-poll rule, picks the next TTR and says whether §3.2
+// group triggering runs; [Triggers] then selects the group members to
+// poll. The deterministic simulator (internal/proxy) and the live HTTP
+// proxy (internal/webproxy) both drive this step, each with its own
+// clock, locking, I/O and failure backoff.
 package core

@@ -198,6 +198,13 @@ func (m *MutualValueAdaptive) Reset() {
 	m.polls = 0
 }
 
+// RefreshTTR is the joint-poll counterpart of Refresh: it returns the
+// time until the pair's next joint poll under the same first-poll rule —
+// InitialTTR before the first fetch, NextTTR(o) after it.
+func (m *MutualValueAdaptive) RefreshTTR(fetched bool, o PairOutcome) time.Duration {
+	return nextTTR(m, fetched, o)
+}
+
 // NextTTR consumes a pair outcome and returns the time until the next
 // pair poll.
 func (m *MutualValueAdaptive) NextTTR(o PairOutcome) time.Duration {

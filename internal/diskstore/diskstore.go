@@ -88,6 +88,9 @@ type Store struct {
 	pending  map[string]pendingOp
 	order    []string // FIFO of keys with pending ops (coalesced)
 	inFlight int
+	// applying is the op the worker is applying: it has left pending
+	// but not yet reached records, so lookups must still see it.
+	applying *pendingOp
 	idle     *sync.Cond
 
 	journal    *os.File
@@ -250,7 +253,7 @@ func (s *Store) Delete(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, inRecords := s.records[key]
-	op, inPending := s.pending[key]
+	op, inPending := s.pendingLocked(key)
 	// Pending state wins: a queued delete means the key is already gone
 	// from the caller's perspective, a queued put means it is present.
 	live := inRecords
@@ -263,7 +266,7 @@ func (s *Store) Delete(key string) bool {
 	if s.closed {
 		return false
 	}
-	if !inPending {
+	if _, queued := s.pending[key]; !queued {
 		s.order = append(s.order, key)
 	}
 	s.pending[key] = pendingOp{rec: Record{Key: key, Del: true}, del: true}
@@ -271,12 +274,24 @@ func (s *Store) Delete(key string) bool {
 	return true
 }
 
+// pendingLocked returns key's op that is not yet durable: the queued
+// one, else the one the worker is applying right now. s.mu is held.
+func (s *Store) pendingLocked(key string) (pendingOp, bool) {
+	if op, ok := s.pending[key]; ok {
+		return op, true
+	}
+	if s.applying != nil && s.applying.rec.Key == key {
+		return *s.applying, true
+	}
+	return pendingOp{}, false
+}
+
 // Get returns the record and body for key, or ok=false. Pending writes
 // are visible immediately (read-your-writes); durable bodies are
 // re-verified against their digest so a corrupt blob reads as a miss.
 func (s *Store) Get(key string) (Record, []byte, bool) {
 	s.mu.Lock()
-	if op, ok := s.pending[key]; ok {
+	if op, ok := s.pendingLocked(key); ok {
 		s.mu.Unlock()
 		if op.del {
 			return Record{}, nil, false
@@ -304,7 +319,7 @@ func (s *Store) Get(key string) (Record, []byte, bool) {
 func (s *Store) Meta(key string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if op, ok := s.pending[key]; ok {
+	if op, ok := s.pendingLocked(key); ok {
 		if op.del {
 			return Record{}, false
 		}
@@ -430,6 +445,7 @@ func (s *Store) worker() {
 		}
 		delete(s.pending, key)
 		s.inFlight++
+		s.applying = &op
 		s.mu.Unlock()
 
 		if op.del {
@@ -439,6 +455,7 @@ func (s *Store) worker() {
 		}
 
 		s.mu.Lock()
+		s.applying = nil
 		s.inFlight--
 		if len(s.order) == 0 && s.inFlight == 0 {
 			s.idle.Broadcast()

@@ -1,8 +1,9 @@
 // Package eventq implements the deterministic priority queue that orders
-// events in the discrete-event simulator. Events are dequeued in
-// nondecreasing time order; events scheduled for the same instant are
-// dequeued in the order they were inserted (FIFO), which makes every
-// simulation run fully deterministic.
+// events in the discrete-event simulator and background refreshes in the
+// live proxy (which maps wall-clock instants onto the simulated timeline).
+// Items are dequeued in nondecreasing time order; items scheduled for the
+// same instant are dequeued in the order they were inserted (FIFO), which
+// makes every simulation run fully deterministic.
 package eventq
 
 import (
@@ -23,8 +24,8 @@ type Item struct {
 }
 
 // Queue is a time-ordered event queue. The zero value is ready to use.
-// Queue is not safe for concurrent use; the simulator is single-threaded
-// by design.
+// Queue is not safe for concurrent use: the simulator is single-threaded
+// by design, and the live proxy guards its queue with a mutex.
 type Queue struct {
 	h       itemHeap
 	nextSeq uint64
@@ -48,8 +49,7 @@ func (q *Queue) Pop() *Item {
 	if len(q.h) == 0 {
 		return nil
 	}
-	it := heap.Pop(&q.h).(*Item)
-	return it
+	return heap.Pop(&q.h).(*Item)
 }
 
 // Peek returns the earliest item without removing it, or nil when empty.
@@ -60,14 +60,41 @@ func (q *Queue) Peek() *Item {
 	return q.h[0]
 }
 
+// PopDue removes and returns the earliest item if it is due at now
+// (At <= now); otherwise it returns nil and leaves the queue untouched.
+func (q *Queue) PopDue(now simtime.Time) *Item {
+	if len(q.h) == 0 || q.h[0].At > now {
+		return nil
+	}
+	return heap.Pop(&q.h).(*Item)
+}
+
 // Remove cancels a previously pushed item. It reports whether the item was
 // still pending. Removing an item twice is safe and returns false.
 func (q *Queue) Remove(it *Item) bool {
-	if it == nil || it.index < 0 || it.index >= len(q.h) || q.h[it.index] != it {
+	if !q.pending(it) {
 		return false
 	}
 	heap.Remove(&q.h, it.index)
 	return true
+}
+
+// Reschedule moves a pending item to a new instant, restoring queue order
+// in O(log n). It reports whether the item was still pending. The item
+// keeps its insertion rank, so ties at the new instant still break in
+// the order the items were first pushed.
+func (q *Queue) Reschedule(it *Item, at simtime.Time) bool {
+	if !q.pending(it) {
+		return false
+	}
+	it.At = at
+	heap.Fix(&q.h, it.index)
+	return true
+}
+
+// pending reports whether it is still queued.
+func (q *Queue) pending(it *Item) bool {
+	return it != nil && it.index >= 0 && it.index < len(q.h) && q.h[it.index] == it
 }
 
 // itemHeap implements heap.Interface ordered by (At, seq).

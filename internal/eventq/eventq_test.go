@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -109,6 +110,80 @@ func TestRemoveHead(t *testing.T) {
 	}
 	if q.Pop().Payload.(string) != "b" {
 		t.Fatal("wrong item after removing head")
+	}
+}
+
+func TestPopDue(t *testing.T) {
+	cases := []struct {
+		name string
+		push []time.Duration // instants pushed, payload = position
+		now  time.Duration
+		want []int // payloads PopDue returns, in order, before it yields nil
+	}{
+		{"empty", nil, time.Hour, nil},
+		{"nothing due", []time.Duration{time.Second, time.Minute}, 0, nil},
+		{"due at the instant", []time.Duration{time.Second, time.Minute}, time.Second, []int{0}},
+		{"late item stays", []time.Duration{time.Minute, time.Second}, 2 * time.Second, []int{1}},
+		{"all due, ties FIFO", []time.Duration{time.Second, 0, time.Second, 0}, time.Minute, []int{1, 3, 0, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var q Queue
+			for i, d := range tc.push {
+				q.Push(at(d), i)
+			}
+			var got []int
+			for it := q.PopDue(at(tc.now)); it != nil; it = q.PopDue(at(tc.now)) {
+				got = append(got, it.Payload.(int))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("PopDue order = %v, want %v", got, tc.want)
+			}
+			if q.Len() != len(tc.push)-len(tc.want) {
+				t.Errorf("Len = %d, want %d", q.Len(), len(tc.push)-len(tc.want))
+			}
+		})
+	}
+}
+
+func TestReschedule(t *testing.T) {
+	cases := []struct {
+		name  string
+		to    time.Duration // new instant for item "a" (pushed at 1s; "b" at 2s, "c" at 3s)
+		order string        // resulting pop order
+	}{
+		{"later", 5 * time.Second, "bca"},
+		{"earlier", 0, "abc"},
+		{"between", 2500 * time.Millisecond, "bac"},
+		{"tie keeps insertion rank", 2 * time.Second, "abc"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var q Queue
+			a := q.Push(at(time.Second), "a")
+			q.Push(at(2*time.Second), "b")
+			q.Push(at(3*time.Second), "c")
+			if !q.Reschedule(a, at(tc.to)) {
+				t.Fatal("Reschedule of a pending item must return true")
+			}
+			var got string
+			for it := q.Pop(); it != nil; it = q.Pop() {
+				got += it.Payload.(string)
+				if it == a && it.At != at(tc.to) {
+					t.Errorf("rescheduled item fired at %v, want %v", it.At, at(tc.to))
+				}
+			}
+			if got != tc.order {
+				t.Errorf("pop order = %q, want %q", got, tc.order)
+			}
+			if q.Reschedule(a, at(time.Second)) {
+				t.Error("Reschedule of a popped item must return false")
+			}
+		})
+	}
+	var q Queue
+	if q.Reschedule(nil, 0) {
+		t.Error("Reschedule(nil) must return false")
 	}
 }
 

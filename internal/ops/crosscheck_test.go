@@ -121,13 +121,6 @@ func proxyExpectations(cs webproxy.CacheStats, us webproxy.UpstreamStatus, ps we
 		"Capped":          one("broadway_cache_capped_total", float64(cs.Capped)),
 		"ResidentObjects": one("broadway_cache_resident_objects", float64(cs.ResidentObjects)),
 		"ResidentBytes":   one("broadway_cache_resident_bytes", float64(cs.ResidentBytes)),
-		"UpstreamErrors":  one("broadway_upstream_errors_total", float64(cs.UpstreamErrors)),
-		// The CacheStats.Push* fields read the same atomics as PushStats;
-		// they share one series each rather than being exported twice.
-		"PushConnected": one("broadway_push_connected", boolVal(cs.PushConnected)),
-		"PushEvents":    one("broadway_push_events_total", float64(cs.PushEvents)),
-		"PushPolls":     one("broadway_push_polls_total", float64(cs.PushPolls)),
-		"PushFallbacks": one("broadway_push_fallbacks_total", float64(cs.PushFallbacks)),
 
 		"ToleranceOverrides": one("broadway_cache_tolerance_overrides_total", float64(cs.ToleranceOverrides)),
 	}
@@ -354,7 +347,7 @@ func TestMetricsCrossCheckAgainstStructs(t *testing.T) {
 		t.Errorf("leaf Events=%d root Fallbacks=%d; the kill/revive run did not exercise the chain",
 			leaf.PushStats().Events, root.PushStats().Fallbacks)
 	}
-	if root.CacheStats().Misses == 0 || root.CacheStats().UpstreamErrors != 0 {
+	if root.CacheStats().Misses == 0 || root.UpstreamStatus().Errors != 0 {
 		t.Errorf("root stats %+v look untouched", root.CacheStats())
 	}
 }

@@ -46,7 +46,7 @@ func timestampSeconds(t time.Time) float64 {
 // and relay families.
 func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	cs := p.CacheStats()
-	e.counter("broadway_cache_hits_total", "Cache hits on resident objects.", float64(cs.Hits))
+	e.counter("broadway_cache_hits_total", "Cache hits since start.", float64(cs.Hits))
 	e.counter("broadway_cache_misses_total", "Requests that entered the admission path.", float64(cs.Misses))
 	e.counter("broadway_cache_evictions_total", "Objects displaced by replacement or admin eviction.", float64(cs.Evictions))
 	e.counter("broadway_cache_capped_total", "Admissions refused residency at capacity.", float64(cs.Capped))
@@ -61,9 +61,9 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 
 	ps := p.PushStats()
 	e.gauge("broadway_push_enabled", "1 when the proxy subscribes to an invalidation channel.", boolVal(ps.Enabled))
-	e.gauge("broadway_push_connected", "1 while the invalidation channel is healthy (also CacheStats.PushConnected).", boolVal(ps.Connected))
-	e.counter("broadway_push_events_total", "Update notifications received on the channel (also CacheStats.PushEvents).", float64(ps.Events))
-	e.counter("broadway_push_polls_total", "Pushed jobs enqueued from events (also CacheStats.PushPolls).", float64(ps.Polls))
+	e.gauge("broadway_push_connected", "1 while the invalidation channel is healthy.", boolVal(ps.Connected))
+	e.counter("broadway_push_events_total", "Update notifications received on the channel.", float64(ps.Events))
+	e.counter("broadway_push_polls_total", "Pushed jobs enqueued from events.", float64(ps.Polls))
 	e.counter("broadway_push_dropped_total", "Events dropped for non-resident objects.", float64(ps.Dropped))
 	e.counter("broadway_push_value_applied_total", "Pushed payloads installed directly, zero origin polls.", float64(ps.ValueApplied))
 	e.counter("broadway_push_value_fallbacks_total", "Pushed jobs degraded to a confirmation poll.", float64(ps.ValueFallbacks))
@@ -73,7 +73,7 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	e.counter("broadway_push_disk_applied_total", "Pushed payloads landed on demoted objects' disk records.", float64(ps.DiskApplied))
 	e.counter("broadway_push_chunks_assembled_total", "Chunked bodies reassembled and delivered whole.", float64(ps.ChunksAssembled))
 	e.counter("broadway_push_chunks_broken_total", "Chunk sets abandoned and degraded to a confirmation poll.", float64(ps.ChunksBroken))
-	e.counter("broadway_push_fallbacks_total", "Healthy-to-disconnected transitions, each running a catch-up sweep (also CacheStats.PushFallbacks).", float64(ps.Fallbacks))
+	e.counter("broadway_push_fallbacks_total", "Healthy-to-disconnected transitions, each running a catch-up sweep.", float64(ps.Fallbacks))
 	e.counter("broadway_push_connects_total", "Successful stream establishments.", float64(ps.Connects))
 	e.counter("broadway_push_bounces_total", "Deliberate stream drops forcing interest renegotiation.", float64(ps.Bounces))
 	e.counter("broadway_push_stream_resets_total", "Mid-stream hello/Reset frames received.", float64(ps.Resets))

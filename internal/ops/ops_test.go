@@ -196,6 +196,47 @@ func TestMetricsMonotoneAcrossKillRevive(t *testing.T) {
 	}
 }
 
+// TestCacheHitsCounterSurvivesEviction checks that the hit counter is
+// monotonic: evicting objects — by replacement or by the admin action —
+// must not take their hits out of CacheStats().Hits or the scraped
+// broadway_cache_hits_total, which rate() would read as a reset.
+func TestCacheHitsCounterSurvivesEviction(t *testing.T) {
+	s := newOpsSetup(t, webproxy.Config{MaxObjects: 2}, false, "")
+	for _, k := range []string{"/a", "/b", "/c"} {
+		s.origin.Set(k, []byte(k), "")
+	}
+	s.get(t, "/a") // miss
+	s.get(t, "/a") // hit
+	s.get(t, "/b") // miss
+	s.get(t, "/b") // hit
+	s.get(t, "/b") // hit
+	const want = 3
+	check := func(stage string) {
+		t.Helper()
+		if got := s.proxy.CacheStats().Hits; got != want {
+			t.Errorf("%s: CacheStats().Hits = %d, want %d", stage, got, want)
+		}
+		if got, _ := s.scrape(t).Value("broadway_cache_hits_total"); got != want {
+			t.Errorf("%s: broadway_cache_hits_total = %v, want %d", stage, got, want)
+		}
+	}
+	check("before eviction")
+
+	s.get(t, "/c") // admission over MaxObjects evicts a hit object
+	if s.proxy.CacheStats().Evictions == 0 {
+		t.Fatal("admitting a third object under MaxObjects=2 evicted nothing")
+	}
+	check("after replacement")
+
+	for _, k := range []string{"/a", "/b", "/c"} {
+		s.do(http.MethodPost, "/admin/evict?key="+k, nil)
+	}
+	if n := s.proxy.Len(); n != 0 {
+		t.Fatalf("%d objects still resident after admin evictions", n)
+	}
+	check("after admin eviction")
+}
+
 // TestHealthzFlipsDegradedOnPushLoss: /healthz reports ok while the
 // channel is healthy and flips to 503/degraded as soon as the origin
 // withdraws the event endpoint — within one heartbeat, not one TTR.

@@ -37,16 +37,17 @@ type Proxy struct {
 
 // entry is one individually scheduled cached object.
 type entry struct {
-	id     core.ObjectID
+	id core.ObjectID
+	// policy is nil for push objects, which are never polled on a
+	// schedule.
 	policy core.Policy
 
-	// serverSync is the server instant the cached copy reflects (the
+	// state is what the core refresh step reads and advances; its
+	// ValidatedAt is the server instant the cached copy reflects (the
 	// If-Modified-Since timestamp of the next poll).
-	serverSync simtime.Time
-	version    int
-	value      float64
-	hasValue   bool
-	fetched    bool
+	state    core.ObjectState
+	version  int
+	hasValue bool
 
 	nextAt     simtime.Time
 	nextHandle sim.Handle
@@ -104,7 +105,7 @@ func (p *Proxy) RegisterObject(id core.ObjectID, policy core.Policy, opts ...Reg
 	// The initial fetch is a poll like any other; it primes the cache.
 	e.nextAt = p.engine.Now()
 	e.nextHandle = p.engine.ScheduleAt(e.nextAt, sim.EventFunc(func(*sim.Engine) {
-		p.poll(e)
+		p.poll(e, core.PollRegular)
 	}))
 	return nil
 }
@@ -184,34 +185,21 @@ func (p *Proxy) RegisterPushObject(id core.ObjectID) error {
 	e := &entry{id: id}
 	p.entries[id] = e
 
-	push := func(e *entry) {
+	// Each push is one message, counted like a poll; the origin sends it
+	// as the update happens, so it crosses no simulated network hop.
+	push := sim.EventFunc(func(*sim.Engine) {
 		now := p.engine.Now()
-		resp, err := p.origin.Poll(e.id, now, e.serverSync)
-		if err != nil {
-			e.failures++
-			p.failedPolls++
-			return
-		}
-		e.polls++ // each push is one message, counted like a poll
-		e.fetched = true
-		e.serverSync = now
-		e.version = resp.Version
-		if resp.HasValue {
-			e.value = resp.Value
-			e.hasValue = true
-		}
-		e.log = append(e.log, metrics.Refresh{
-			At: now, Modified: resp.Modified, Version: resp.Version, Value: resp.Value,
-		})
-	}
+		resp, err := p.origin.Poll(e.id, now, e.state.ValidatedAt)
+		p.apply(e, core.PollPushed, resp, err, now)
+	})
 	// Initial transfer now, then one push per server update.
-	p.engine.ScheduleAt(p.engine.Now(), sim.EventFunc(func(*sim.Engine) { push(e) }))
+	p.engine.ScheduleAt(p.engine.Now(), push)
 	for _, u := range tr.Updates {
 		at := simtime.At(u.At)
 		if at.Before(p.engine.Now()) {
 			continue
 		}
-		p.engine.ScheduleAt(at, sim.EventFunc(func(*sim.Engine) { push(e) }))
+		p.engine.ScheduleAt(at, push)
 	}
 	return nil
 }
@@ -221,73 +209,75 @@ func (p *Proxy) RegisterPushObject(id core.ObjectID) error {
 // crosses back before it is applied. With the default zero latency the
 // whole exchange completes at the current instant (events fire in FIFO
 // order), matching the paper's fixed-latency simplification (§6.1.1).
-func (p *Proxy) poll(e *entry) {
-	e.inFlight = true
+// A regular poll marks the entry in flight so triggering skips it.
+func (p *Proxy) poll(e *entry, kind core.PollKind) {
+	if kind == core.PollRegular {
+		e.inFlight = true
+	}
 	p.engine.AfterLatency(sim.EventFunc(func(eng *sim.Engine) {
 		serverTime := eng.Now()
-		resp, err := p.origin.Poll(e.id, serverTime, e.serverSync)
+		resp, err := p.origin.Poll(e.id, serverTime, e.state.ValidatedAt)
 		p.engine.AfterLatency(sim.EventFunc(func(*sim.Engine) {
-			p.applyPoll(e, resp, err, serverTime)
+			p.apply(e, kind, resp, err, serverTime)
 		}))
 	}))
 }
 
-// applyPoll applies the poll response once it has arrived back at the
-// proxy, consults the policy for the next TTR, and lets the group
-// controller trigger polls of related objects.
-func (p *Proxy) applyPoll(e *entry, resp origin.Response, err error, serverTime simtime.Time) {
+// apply installs a poll response once it has arrived back at the proxy:
+// the core refresh step advances the entry's state and yields the next
+// TTR (regular polls only) and whether the group controller should
+// trigger polls of related objects. Triggered and pushed polls are
+// layered on top of the object's own schedule (paper §3.2: "an
+// additional poll is triggered"): they refresh the cache and advance the
+// validation timestamp but neither feed the policy nor disturb the
+// regular schedule.
+func (p *Proxy) apply(e *entry, kind core.PollKind, resp origin.Response, err error, serverTime simtime.Time) {
 	if err != nil {
-		// Origin down: count the failure and retry after the policy's
-		// floor interval, without feeding the policy a fake outcome.
+		// Origin down: count the failure. A regular poll retries after
+		// the policy's floor interval, without feeding the policy a fake
+		// outcome; other kinds leave the retry to the regular schedule.
 		e.failures++
 		p.failedPolls++
-		e.inFlight = false
-		p.schedule(e, e.policy.InitialTTR())
+		if kind == core.PollRegular {
+			e.inFlight = false
+			p.schedule(e, e.policy.InitialTTR())
+		}
 		return
 	}
 	e.polls++
+	if kind == core.PollTriggered {
+		e.trigged++
+	}
 
-	outcome := core.PollOutcome{
-		Now:             serverTime,
-		Prev:            e.serverSync,
+	step := core.Refresh(e.policy, e.state, kind, serverTime, core.Observation{
 		Modified:        resp.Modified,
 		LastModified:    resp.LastModified,
 		HasLastModified: resp.HasLastModified,
 		History:         resp.History,
 		HasValue:        resp.HasValue,
 		Value:           resp.Value,
-		PrevValue:       e.value,
-	}
-
-	first := !e.fetched
-	e.fetched = true
-	e.serverSync = serverTime
+	})
+	e.state = step.State
 	e.version = resp.Version
 	if resp.HasValue {
-		e.value = resp.Value
 		e.hasValue = true
 	}
 	e.log = append(e.log, metrics.Refresh{
-		At:       serverTime,
-		Modified: resp.Modified,
-		Version:  resp.Version,
-		Value:    resp.Value,
+		At:        serverTime,
+		Modified:  resp.Modified,
+		Version:   resp.Version,
+		Value:     resp.Value,
+		Triggered: kind == core.PollTriggered,
 	})
 
-	var ttr time.Duration
-	if first {
-		// The initial fetch precedes any meaningful interval; start at
-		// the policy's initial TTR.
-		ttr = e.policy.InitialTTR()
-	} else {
-		ttr = e.policy.NextTTR(outcome)
+	if step.Reschedule {
+		e.inFlight = false
+		p.schedule(e, step.TTR)
 	}
-	e.inFlight = false
-	p.schedule(e, ttr)
-
 	if e.grp != nil {
-		e.grp.controller.ObserveOutcome(e.id, outcome)
-		if resp.Modified && !first {
+		// The controller learns from every poll, triggered ones included.
+		e.grp.controller.ObserveOutcome(e.id, step.Outcome)
+		if step.Trigger {
 			p.triggerRelated(e, p.engine.Now())
 		}
 	}
@@ -297,82 +287,20 @@ func (p *Proxy) applyPoll(e *entry, resp origin.Response, err error, serverTime 
 func (p *Proxy) schedule(e *entry, ttr time.Duration) {
 	e.nextAt = p.engine.Now().Add(ttr)
 	e.nextHandle = p.engine.ScheduleAt(e.nextAt, sim.EventFunc(func(*sim.Engine) {
-		p.poll(e)
+		p.poll(e, core.PollRegular)
 	}))
 }
 
-// triggerRelated asks the group controller which related objects need an
-// immediate extra poll after e was observed to change. Triggered polls are
-// layered on top of the objects' own LIMD schedules (paper §3.2: "an
-// additional poll is triggered"): they refresh the cache and advance the
-// validation timestamp but neither feed the object's policy nor disturb
-// its regular schedule.
+// triggerRelated schedules an immediate extra poll of every related
+// object the group controller selects after e was observed to change.
 func (p *Proxy) triggerRelated(e *entry, now simtime.Time) {
-	for _, other := range e.grp.members {
-		if other == e || other.inFlight {
-			continue
-		}
-		if !e.grp.controller.ShouldTrigger(e.id, other.id, now, other.serverSync, other.nextAt) {
-			continue
-		}
-		other := other
-		p.engine.ScheduleAt(now, sim.EventFunc(func(*sim.Engine) {
-			p.pollTriggered(other)
-		}))
-	}
-}
-
-// pollTriggered performs a controller-triggered extra poll: it refreshes
-// the cached copy and records the poll, leaving the object's own TTR
-// schedule untouched.
-func (p *Proxy) pollTriggered(e *entry) {
-	p.engine.AfterLatency(sim.EventFunc(func(eng *sim.Engine) {
-		serverTime := eng.Now()
-		resp, err := p.origin.Poll(e.id, serverTime, e.serverSync)
-		p.engine.AfterLatency(sim.EventFunc(func(*sim.Engine) {
-			p.applyTriggered(e, resp, err, serverTime)
-		}))
-	}))
-}
-
-// applyTriggered applies a triggered poll's response.
-func (p *Proxy) applyTriggered(e *entry, resp origin.Response, err error, now simtime.Time) {
-	if err != nil {
-		e.failures++
-		p.failedPolls++
-		return // the regular schedule will retry
-	}
-	e.polls++
-	e.trigged++
-
-	outcome := core.PollOutcome{
-		Now:             now,
-		Prev:            e.serverSync,
-		Modified:        resp.Modified,
-		LastModified:    resp.LastModified,
-		HasLastModified: resp.HasLastModified,
-		History:         resp.History,
-		HasValue:        resp.HasValue,
-		Value:           resp.Value,
-		PrevValue:       e.value,
-	}
-	e.fetched = true
-	e.serverSync = now
-	e.version = resp.Version
-	if resp.HasValue {
-		e.value = resp.Value
-		e.hasValue = true
-	}
-	e.log = append(e.log, metrics.Refresh{
-		At:        now,
-		Modified:  resp.Modified,
-		Version:   resp.Version,
-		Value:     resp.Value,
-		Triggered: true,
+	related := core.Triggers(e.grp.controller, e.id, now, e.grp.members, func(m *entry) core.GroupMember {
+		return core.GroupMember{ID: m.id, ValidatedAt: m.state.ValidatedAt, NextPoll: m.nextAt, Busy: m.inFlight}
 	})
-	// The controller still learns from what the extra poll revealed.
-	if e.grp != nil {
-		e.grp.controller.ObserveOutcome(e.id, outcome)
+	for _, other := range related {
+		p.engine.ScheduleAt(now, sim.EventFunc(func(*sim.Engine) {
+			p.poll(other, core.PollTriggered)
+		}))
 	}
 }
 
@@ -381,8 +309,8 @@ func (p *Proxy) applyTriggered(e *entry, resp origin.Response, err error, now si
 func (p *Proxy) pollPair(pe *pairEntry) {
 	p.engine.AfterLatency(sim.EventFunc(func(eng *sim.Engine) {
 		serverTime := eng.Now()
-		respA, errA := p.origin.Poll(pe.a.id, serverTime, pe.a.serverSync)
-		respB, errB := p.origin.Poll(pe.b.id, serverTime, pe.b.serverSync)
+		respA, errA := p.origin.Poll(pe.a.id, serverTime, pe.a.state.ValidatedAt)
+		respB, errB := p.origin.Poll(pe.b.id, serverTime, pe.b.state.ValidatedAt)
 		p.engine.AfterLatency(sim.EventFunc(func(*sim.Engine) {
 			p.applyPair(pe, respA, respB, errA, errB, serverTime)
 		}))
@@ -401,19 +329,17 @@ func (p *Proxy) applyPair(pe *pairEntry, respA, respB origin.Response, errA, err
 
 	outcome := core.PairOutcome{
 		Now:        now,
-		Prev:       pe.a.serverSync,
+		Prev:       pe.a.state.ValidatedAt,
 		ValueA:     respA.Value,
 		ValueB:     respB.Value,
-		PrevValueA: pe.a.value,
-		PrevValueB: pe.b.value,
+		PrevValueA: pe.a.state.Value,
+		PrevValueB: pe.b.state.Value,
 	}
-	first := !pe.a.fetched
+	fetched := pe.a.state.Fetched
 
 	apply := func(e *entry, resp origin.Response) {
-		e.fetched = true
-		e.serverSync = now
+		e.state = core.ObjectState{ValidatedAt: now, Value: resp.Value, Fetched: true}
 		e.version = resp.Version
-		e.value = resp.Value
 		e.hasValue = resp.HasValue
 		e.log = append(e.log, metrics.Refresh{
 			At: now, Modified: resp.Modified, Version: resp.Version, Value: resp.Value,
@@ -422,13 +348,7 @@ func (p *Proxy) applyPair(pe *pairEntry, respA, respB origin.Response, errA, err
 	apply(pe.a, respA)
 	apply(pe.b, respB)
 
-	var ttr time.Duration
-	if first {
-		ttr = pe.policy.InitialTTR()
-	} else {
-		ttr = pe.policy.NextTTR(outcome)
-	}
-	p.schedulePair(pe, ttr)
+	p.schedulePair(pe, pe.policy.RefreshTTR(fetched, outcome))
 }
 
 // CachedCopy is the proxy's view of one object, served to clients on
@@ -445,14 +365,14 @@ type CachedCopy struct {
 // object is unknown or its initial fetch has not completed yet.
 func (p *Proxy) Lookup(id core.ObjectID) (CachedCopy, bool) {
 	e, found := p.entries[id]
-	if !found || !e.fetched {
+	if !found || !e.state.Fetched {
 		return CachedCopy{}, false
 	}
 	return CachedCopy{
 		Version:  e.version,
-		Value:    e.value,
+		Value:    e.state.Value,
 		HasValue: e.hasValue,
-		AsOf:     e.serverSync,
+		AsOf:     e.state.ValidatedAt,
 	}, true
 }
 
@@ -463,7 +383,7 @@ func (p *Proxy) Lookup(id core.ObjectID) (CachedCopy, bool) {
 // admitted under a policy built by mkPolicy, mirroring miss-driven
 // admission in a real proxy.
 func (p *Proxy) HandleRequest(id core.ObjectID, mkPolicy func() core.Policy) (hit bool, err error) {
-	if e, ok := p.entries[id]; ok && e.fetched {
+	if e, ok := p.entries[id]; ok && e.state.Fetched {
 		p.hits++
 		return true, nil
 	}

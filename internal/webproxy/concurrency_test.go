@@ -488,14 +488,14 @@ func TestTriggeredFailurePullsRegularPollForward(t *testing.T) {
 
 	// Regular poll an hour out; a failed triggered poll must pull it in.
 	px.reschedule(e, now.Add(time.Hour))
-	px.deferRetry(e, now, pollTriggered)
+	px.deferRetry(e, now, core.PollTriggered)
 	if got := px.scheduledNextAt(e); got.After(now.Add(time.Minute)) {
 		t.Errorf("failed triggered poll left retry at %v out", got.Sub(now))
 	}
 
 	// Regular poll imminent; a failed triggered poll must not delay it.
 	px.reschedule(e, now.Add(time.Millisecond))
-	px.deferRetry(e, now, pollTriggered)
+	px.deferRetry(e, now, core.PollTriggered)
 	if got := px.scheduledNextAt(e); got.After(now.Add(2 * time.Millisecond)) {
 		t.Errorf("failed triggered poll pushed an imminent poll out to %v", got.Sub(now))
 	}

@@ -24,8 +24,6 @@ package webproxy
 //     tiers.
 
 import (
-	"time"
-
 	"broadway/internal/diskstore"
 	"broadway/internal/httpx"
 )
@@ -55,9 +53,7 @@ func (p *Proxy) persistEntry(e *entry) {
 	// tolerance dies with the pair; persist TTR zero and let the
 	// rehydrated entry re-learn (and re-pair) from scratch.
 	if !e.paired {
-		if t, ok := e.policy.(interface{ TTR() time.Duration }); ok {
-			rec.TTR = t.TTR()
-		}
+		rec.TTR = learnedTTR(e.policy)
 	}
 	body := e.body
 	e.mu.RUnlock()

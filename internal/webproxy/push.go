@@ -220,7 +220,7 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 	}
 	p.pushPolls.Add(1)
 	p.pending.Add(1)
-	p.workerFor(e).enqueue(job{e: e, kind: pollPushed})
+	p.workerFor(e).enqueue(job{e: e, kind: core.PollPushed})
 }
 
 // applyPushedValue installs a pushed event's payload directly into the
@@ -285,14 +285,11 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		e.mu.Unlock()
 		return true
 	}
-	outcome := core.PollOutcome{
-		Now:      p.toSim(now),
-		Prev:     p.toSim(e.validatedAt),
-		Modified: true,
-	}
+	prev := core.ObjectState{ValidatedAt: p.toSim(e.validatedAt), Value: e.value, Fetched: true}
+	obs := core.Observation{Modified: true}
 	if !ev.ModTime.IsZero() {
-		outcome.LastModified = p.toSim(ev.ModTime)
-		outcome.HasLastModified = true
+		obs.LastModified = p.toSim(ev.ModTime)
+		obs.HasLastModified = true
 	}
 	e.failures = 0
 	e.validatedAt = now
@@ -306,14 +303,12 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		e.hasLastMod = true
 	}
 	if e.isValue {
-		outcome.HasValue = true
-		outcome.PrevValue = e.value
-		outcome.Value = e.value
 		if v, ok := parseValueBody(body); ok {
 			e.value = v
-			outcome.Value = v
 		}
 	}
+	obs.HasValue, obs.Value = e.isValue, e.value
+	step := core.Refresh(e.policy, prev, core.PollPushed, p.toSim(now), obs)
 	paired := e.paired
 	e.mu.Unlock()
 
@@ -344,11 +339,11 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 	// stale one the pass-through frame raced — the eviction-token-
 	// guarded controller observation, and the §3.2 group triggering an
 	// update learned from a payload imposes exactly as one learned by
-	// polling. pollPushed leaves the regular schedule untouched.
+	// polling. A pushed step leaves the regular schedule untouched.
 	p.finishRefresh(e, refreshResult{
-		kind:    pollPushed,
+		kind:    core.PollPushed,
 		now:     now,
-		outcome: outcome,
+		step:    step,
 		paired:  paired,
 		resized: true,
 		newSize: size,
@@ -554,9 +549,8 @@ func (p *Proxy) fallbackSweep() {
 		if at.Before(now) {
 			at = now
 		}
-		e.nextAt = at
 		e.baseNextAt = at
-		p.schedule.Reschedule(e.item, at)
+		p.setNextAt(e, at)
 		pulled = true
 	}
 	p.schedMu.Unlock()

@@ -119,8 +119,8 @@ func TestPushEventTriggersImmediateRefresh(t *testing.T) {
 	if st := s.proxy.ObjectStats("/page"); st.Pushed == 0 {
 		t.Errorf("no pushed poll recorded: %+v", st)
 	}
-	if cs := s.proxy.CacheStats(); cs.PushPolls == 0 || cs.PushEvents == 0 || !cs.PushConnected {
-		t.Errorf("CacheStats push counters: %+v", cs)
+	if ps := s.proxy.PushStats(); ps.Polls == 0 || ps.Events == 0 || !ps.Connected {
+		t.Errorf("PushStats counters: %+v", ps)
 	}
 }
 

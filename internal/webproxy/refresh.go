@@ -18,25 +18,13 @@ import (
 // shared state of partitioned M_v policy pairs single-threaded while
 // unrelated objects refresh fully in parallel.
 
-// pollKind distinguishes why a poll was requested. Regular polls come
-// off the TTR schedule and feed the policy; triggered polls are demanded
-// by a mutual-consistency controller; pushed polls are demanded by the
-// origin's invalidation channel. Triggered and pushed polls leave the
-// regular schedule and the policy's learned TTR untouched, but a pushed
-// poll that confirms an update runs the §3.2 group triggering exactly as
-// a regular poll would — the channel must not weaken mutual consistency.
-type pollKind uint8
-
-const (
-	pollRegular pollKind = iota
-	pollTriggered
-	pollPushed
-)
-
-// job is one unit of poll work routed to a worker.
+// job is one unit of poll work routed to a worker. Its kind says why the
+// poll was requested (see core.PollKind): regular polls come off the TTR
+// schedule, triggered polls are demanded by a mutual-consistency
+// controller, pushed polls by the origin's invalidation channel.
 type job struct {
 	e    *entry
-	kind pollKind
+	kind core.PollKind
 }
 
 // worker is one poll worker with an unbounded mailbox. The mailbox must
@@ -122,10 +110,11 @@ func (p *Proxy) dispatchLoop() {
 	defer timer.Stop()
 	for {
 		now := p.cfg.Clock()
+		simNow := p.toSim(now)
 		var due []*entry
 		p.schedMu.Lock()
 		for {
-			it := p.schedule.PopDue(now)
+			it := p.schedule.PopDue(simNow)
 			if it == nil {
 				break
 			}
@@ -143,14 +132,14 @@ func (p *Proxy) dispatchLoop() {
 		}
 		wait := time.Hour
 		if it := p.schedule.Peek(); it != nil {
-			wait = it.At.Sub(now)
+			wait = it.At.Sub(simNow)
 			if wait < 0 {
 				wait = 0
 			}
 		}
 		p.schedMu.Unlock()
 		for _, e := range due {
-			p.workerFor(e).enqueue(job{e: e, kind: pollRegular})
+			p.workerFor(e).enqueue(job{e: e, kind: core.PollRegular})
 		}
 		if !timer.Stop() {
 			select {
@@ -188,15 +177,22 @@ func (p *Proxy) reschedule(e *entry, at time.Time) {
 		p.schedMu.Unlock()
 		return
 	}
-	e.nextAt = at
 	e.baseNextAt = at
-	if e.item != nil {
-		p.schedule.Reschedule(e.item, at)
-	} else {
-		e.item = p.schedule.Push(at, e)
-	}
+	p.setNextAt(e, at)
 	p.schedMu.Unlock()
 	p.kick()
+}
+
+// setNextAt books e's next regular poll at the wall-clock instant at,
+// keyed on the heap by its position on the simulated timeline. Callers
+// hold schedMu.
+func (p *Proxy) setNextAt(e *entry, at time.Time) {
+	e.nextAt = at
+	if e.item != nil {
+		p.schedule.Reschedule(e.item, p.toSim(at))
+	} else {
+		e.item = p.schedule.Push(p.toSim(at), e)
+	}
 }
 
 // rescheduleHybrid sets e's next regular poll ttr from now, stretched
@@ -213,15 +209,8 @@ func (p *Proxy) rescheduleHybrid(e *entry, now time.Time, ttr time.Duration) {
 		p.schedMu.Unlock()
 		return
 	}
-	base := now.Add(ttr)
-	at := now.Add(p.stretchTTR(e, ttr))
-	e.nextAt = at
-	e.baseNextAt = base
-	if e.item != nil {
-		p.schedule.Reschedule(e.item, at)
-	} else {
-		e.item = p.schedule.Push(at, e)
-	}
+	e.baseNextAt = now.Add(ttr)
+	p.setNextAt(e, now.Add(p.stretchTTR(e, ttr)))
 	p.schedMu.Unlock()
 	p.kick()
 }
@@ -269,19 +258,7 @@ func (p *Proxy) leaveGroup(e *entry) {
 			break
 		}
 	}
-	if other := e.partner; other != nil {
-		e.partner = nil
-		if other.partner == e {
-			other.partner = nil
-			other.mu.Lock()
-			other.paired = false
-			other.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-				Delta:  other.valueDelta,
-				Bounds: p.cfg.Bounds,
-			})
-			other.mu.Unlock()
-		}
-	}
+	p.dissolvePair(e)
 	gs.ctrl.Forget(core.ObjectID(e.key))
 	if len(gs.members) == 0 {
 		// Last member gone: retire the group so churn over distinct
@@ -303,27 +280,33 @@ func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 // pushed job first tries to install the event's payload directly (the
 // value-carrying fast path) and only reaches the origin when that is
 // impossible.
-func (p *Proxy) pollEntry(e *entry, kind pollKind) {
-	triggered := kind != pollRegular
-	if kind == pollPushed {
+func (p *Proxy) pollEntry(e *entry, kind core.PollKind) {
+	if kind == core.PollPushed {
 		// Clear the coalescing flag before consuming the event: an event
 		// arriving mid-job must enqueue a fresh job (this one may
 		// already have read an older version).
 		e.pushQueued.Store(false)
 		if p.cfg.PushValues {
-			if pending := e.pendingPush.Swap(nil); pending != nil {
-				if p.applyPushedValue(e, pending) {
-					return // installed (or a recognized duplicate): no origin request
-				}
-				if e.evicted.Load() && p.applyPushedToDisk(*pending) {
-					// Demoted mid-flight: the entry left the store between
-					// the event and this job, but its disk record survives
-					// — landing the payload there keeps the demoted copy
-					// fresh for the next promotion.
-					return
-				}
-				p.pushValueFallback.Add(1)
+			pending := e.pendingPush.Swap(nil)
+			if pending == nil {
+				// Every event fills the slot before it queues a job, so an
+				// empty slot means the previous job consumed this job's
+				// event — it arrived after that job cleared pushQueued but
+				// before it took the slot — and installed or polled for
+				// it. Nothing is owed.
+				return
 			}
+			if p.applyPushedValue(e, pending) {
+				return // installed (or a recognized duplicate): no origin request
+			}
+			if e.evicted.Load() && p.applyPushedToDisk(*pending) {
+				// Demoted mid-flight: the entry left the store between
+				// the event and this job, but its disk record survives
+				// — landing the payload there keeps the demoted copy
+				// fresh for the next promotion.
+				return
+			}
+			p.pushValueFallback.Add(1)
 		}
 	}
 	// An entry evicted after being popped off the schedule (or while
@@ -349,23 +332,19 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	}
 	e.polls.Add(1)
 	switch kind {
-	case pollTriggered:
+	case core.PollTriggered:
 		e.triggered.Add(1)
-	case pollPushed:
+	case core.PollPushed:
 		e.pushed.Add(1)
 	}
 
-	outcome := core.PollOutcome{
-		Now:      p.toSim(now),
-		Prev:     p.toSim(prevValidated),
-		Modified: !resp.notModified,
-	}
+	obs := core.Observation{Modified: !resp.notModified}
 	if resp.hasLastMod {
-		outcome.LastModified = p.toSim(resp.lastMod)
-		outcome.HasLastModified = true
+		obs.LastModified = p.toSim(resp.lastMod)
+		obs.HasLastModified = true
 	}
 	for _, h := range resp.history {
-		outcome.History = append(outcome.History, p.toSim(h))
+		obs.History = append(obs.History, p.toSim(h))
 	}
 
 	e.mu.Lock()
@@ -381,11 +360,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	if cc := resp.header.Get("Cache-Control"); cc != "" {
 		e.cacheControl = cc
 	}
-	if e.isValue {
-		outcome.HasValue = true
-		outcome.PrevValue = e.value
-		outcome.Value = e.value
-	}
+	prev := core.ObjectState{ValidatedAt: p.toSim(prevValidated), Value: e.value, Fetched: true}
 	var prevBody []byte
 	var prevDigest string
 	if !resp.notModified {
@@ -407,18 +382,15 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		if e.isValue {
 			if v, ok := parseValueBody(resp.body); ok {
 				e.value = v
-				outcome.Value = v
 			}
 		}
 	}
-	var ttr time.Duration
-	if !triggered {
-		ttr = e.policy.NextTTR(outcome)
-	}
+	obs.HasValue, obs.Value = e.isValue, e.value
+	step := core.Refresh(e.policy, prev, kind, p.toSim(now), obs)
 	paired := e.paired
 	e.mu.Unlock()
 
-	rr := refreshResult{kind: kind, now: now, ttr: ttr, outcome: outcome, paired: paired}
+	rr := refreshResult{kind: kind, now: now, step: step, paired: paired}
 	if !resp.notModified {
 		rr.resized = true
 		rr.newSize = entrySize(e.key, resp.body)
@@ -439,14 +411,13 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 // that install a fresh validation of an object: an origin poll
 // (pollEntry) and a direct pushed-value install (applyPushedValue).
 type refreshResult struct {
-	kind    pollKind
-	now     time.Time
-	outcome core.PollOutcome
-	paired  bool
-	// ttr is the policy's next regular interval; consumed only for
-	// kind == pollRegular (triggered and pushed refreshes leave the
-	// regular schedule untouched).
-	ttr time.Duration
+	kind core.PollKind
+	now  time.Time
+	// step is the core refresh step's verdict: the outcome the group
+	// controller learns from, the next regular TTR (regular polls only),
+	// and whether §3.2 triggering runs.
+	step   core.Step
+	paired bool
 	// resized marks a body replacement: newSize re-charges the byte
 	// ledger and the budget is re-enforced.
 	resized bool
@@ -508,7 +479,7 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 		// The token is set before leaveGroup takes gs.mu, so whichever
 		// side acquires gs.mu second leaves the controller clean.
 		if !e.evicted.Load() {
-			gs.ctrl.ObserveOutcome(core.ObjectID(e.key), rr.outcome)
+			gs.ctrl.ObserveOutcome(core.ObjectID(e.key), rr.step.Outcome)
 		}
 		gs.mu.Unlock()
 	}
@@ -525,17 +496,15 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 	}
 	p.persistEntry(e)
 
-	if rr.kind == pollRegular {
+	if rr.step.Reschedule {
 		// While the push channel is healthy the regular poll is only a
 		// safety net; stretch it toward the upper bound and remember the
 		// paper-mode instant for the fallback sweep.
-		p.rescheduleHybrid(e, rr.now, rr.ttr)
+		p.rescheduleHybrid(e, rr.now, rr.step.TTR)
 	}
 	// Temporal group triggering; partitioned M_v pairs maintain their
-	// mutual guarantee through the tolerance split instead. Pushed
-	// refreshes trigger too: an update learned via the channel imposes
-	// the same mutual obligation as one learned by polling.
-	if rr.kind != pollTriggered && rr.outcome.Modified && gs != nil && !rr.paired {
+	// mutual guarantee through the tolerance split instead.
+	if rr.step.Trigger && gs != nil && !rr.paired {
 		p.triggerGroup(e, gs, rr.now)
 	}
 	if obs := p.cfg.PollObserver; obs != nil {
@@ -545,9 +514,9 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 		obs(PollObservation{
 			Key:       e.key,
 			At:        rr.now,
-			Modified:  rr.outcome.Modified,
-			Triggered: rr.kind == pollTriggered,
-			Pushed:    rr.kind == pollPushed,
+			Modified:  rr.step.Outcome.Modified,
+			Triggered: rr.kind == core.PollTriggered,
+			Pushed:    rr.kind == core.PollPushed,
 			Applied:   rr.applied,
 			Value:     value,
 			HasValue:  hasValue,
@@ -559,14 +528,14 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 // deferRetry handles an upstream failure with capped exponential backoff
 // starting from the policy's initial TTR. The policy itself is never fed
 // a failed poll, so its learned TTR state survives origin flaps intact.
-func (p *Proxy) deferRetry(e *entry, now time.Time, kind pollKind) {
+func (p *Proxy) deferRetry(e *entry, now time.Time, kind core.PollKind) {
 	e.mu.Lock()
 	e.failures++
 	n := e.failures
 	base := e.policy.InitialTTR()
 	e.mu.Unlock()
 	retryAt := now.Add(backoffDelay(base, n, p.maxBackoff()))
-	if kind != pollRegular {
+	if kind != core.PollRegular {
 		// A failed triggered or pushed poll must still be retried
 		// promptly — the group's mutual guarantee (or the pushed
 		// update's freshness) is on the line — so pull the regular poll
@@ -576,11 +545,10 @@ func (p *Proxy) deferRetry(e *entry, now time.Time, kind pollKind) {
 		p.schedMu.Lock()
 		pull := e.item != nil && retryAt.Before(e.nextAt)
 		if pull {
-			e.nextAt = retryAt
 			if retryAt.Before(e.baseNextAt) {
 				e.baseNextAt = retryAt
 			}
-			p.schedule.Reschedule(e.item, retryAt)
+			p.setNextAt(e, retryAt)
 		}
 		p.schedMu.Unlock()
 		if pull {
@@ -638,21 +606,21 @@ func (p *Proxy) triggerGroup(e *entry, gs *groupState, now time.Time) {
 		other.mu.RUnlock()
 		cands = append(cands, candidate{other, validatedAt})
 	}
-	var toTrigger []*entry
 	p.schedMu.Lock()
-	for _, c := range cands {
-		if gs.ctrl.ShouldTrigger(core.ObjectID(e.key), core.ObjectID(c.other.key),
-			p.toSim(now), p.toSim(c.validatedAt), p.toSim(c.other.nextAt)) {
-			toTrigger = append(toTrigger, c.other)
+	toTrigger := core.Triggers(gs.ctrl, core.ObjectID(e.key), p.toSim(now), cands, func(c candidate) core.GroupMember {
+		return core.GroupMember{
+			ID:          core.ObjectID(c.other.key),
+			ValidatedAt: p.toSim(c.validatedAt),
+			NextPoll:    p.toSim(c.other.nextAt),
 		}
-	}
+	})
 	p.schedMu.Unlock()
 	gs.mu.Unlock()
-	for _, other := range toTrigger {
+	for _, c := range toTrigger {
 		// Same group ⇒ same affinity worker ⇒ the triggered poll runs
 		// strictly after the current one; enqueueing is non-blocking.
 		p.pending.Add(1)
-		p.workerFor(other).enqueue(job{e: other, kind: pollTriggered})
+		p.workerFor(c.other).enqueue(job{e: c.other, kind: core.PollTriggered})
 	}
 }
 

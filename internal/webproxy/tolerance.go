@@ -1,10 +1,6 @@
 package webproxy
 
-import (
-	"time"
-
-	"broadway/internal/core"
-)
+import "time"
 
 // Runtime tolerance override (the /admin/tolerance action): an operator
 // changes a resident object's Δ (time tolerance) or Δv (value
@@ -67,23 +63,7 @@ func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (Tol
 	// Rebuild the policy around the new tolerance, carrying the learned
 	// TTR over: the object's observed update rate did not change, only
 	// the bound the schedule must honor against it.
-	var learned time.Duration
-	if t, ok := e.policy.(interface{ TTR() time.Duration }); ok {
-		learned = t.TTR()
-	}
-	if e.isValue && e.valueDelta > 0 {
-		e.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-			Delta:  e.valueDelta,
-			Bounds: p.cfg.Bounds,
-		})
-	} else {
-		e.policy = core.NewLIMD(core.LIMDConfig{Delta: e.delta, Bounds: p.cfg.Bounds})
-	}
-	if learned > 0 {
-		if r, ok := e.policy.(interface{ RestoreTTR(time.Duration) }); ok {
-			r.RestoreTTR(learned)
-		}
-	}
+	e.policy = p.newPolicy(e, learnedTTR(e.policy))
 	res.Delta = e.delta
 	res.ValueDelta = e.valueDelta
 	e.mu.Unlock()
@@ -118,6 +98,22 @@ func (p *Proxy) unpair(e *entry) bool {
 	}
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
+	if !p.dissolvePair(e) {
+		return false
+	}
+	e.mu.Lock()
+	e.paired = false
+	e.mu.Unlock()
+	return true
+}
+
+// dissolvePair unlinks e from its partitioned M_v partner, if any, and
+// returns the partner to an individual AdaptiveTTR policy over its own
+// Δv: its tightened share of the pair's tolerance would otherwise poll
+// forever for a partner that no longer exists. It reports whether a
+// pair existed. Callers hold the group's mu; e's own policy is left to
+// the caller (an evicted entry needs none).
+func (p *Proxy) dissolvePair(e *entry) bool {
 	other := e.partner
 	if other == nil {
 		return false
@@ -127,15 +123,9 @@ func (p *Proxy) unpair(e *entry) bool {
 		other.partner = nil
 		other.mu.Lock()
 		other.paired = false
-		other.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-			Delta:  other.valueDelta,
-			Bounds: p.cfg.Bounds,
-		})
+		other.policy = p.newPolicy(other, 0)
 		other.mu.Unlock()
 	}
-	e.mu.Lock()
-	e.paired = false
-	e.mu.Unlock()
 	return true
 }
 

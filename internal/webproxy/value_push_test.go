@@ -68,6 +68,29 @@ func newValuePushSetup(t *testing.T, cfg Config) *liveSetup {
 	return &liveSetup{origin: origin, originSrv: originSrv, proxy: px, proxySrv: proxySrv}
 }
 
+// TestValuePushJobWithConsumedEventPollsNothing pins a coalescing race:
+// an event landing after a pushed job cleared pushQueued but before it
+// took the payload slot is installed by that job, yet still queues a
+// second job, which then finds the slot empty. That job owes nothing
+// and must not poll the origin.
+func TestValuePushJobWithConsumedEventPollsNothing(t *testing.T) {
+	s := newValuePushSetup(t, Config{})
+	s.origin.Set("/quote", []byte("100.00\n"), "text/plain")
+	s.origin.SetTolerances("/quote", httpx.Tolerances{ValueDelta: 0.25})
+	waitPushConnected(t, s.proxy)
+	s.get(t, "/quote")
+	e := s.proxy.lookup("/quote")
+	before := s.origin.Polls()
+
+	s.proxy.pollEntry(e, core.PollPushed) // the second job: its event is already consumed
+	if polls := s.origin.Polls() - before; polls != 0 {
+		t.Errorf("pushed job with a consumed event polled the origin %d times", polls)
+	}
+	if st := s.proxy.ObjectStats("/quote"); st.Pushed != 0 {
+		t.Errorf("pushed job with a consumed event counted %d pushed polls", st.Pushed)
+	}
+}
+
 // TestValuePushInstallsBodyWithoutOriginPoll is the heart of the
 // tentpole: after admission, updates reach the cache through the event
 // payload alone — the origin sees no further request of any kind.

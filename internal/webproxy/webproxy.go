@@ -11,9 +11,12 @@
 //     see store.go). Cache hits touch only their own shard and share the
 //     immutable body slice, so the hit path scales with parallelism
 //     instead of serializing on a global lock.
-//   - A min-heap refresh schedule (internal/sched) ordered by each
-//     object's next poll instant, giving the dispatcher O(log n) access
-//     to the next due refresh instead of an O(n) scan.
+//   - A min-heap refresh schedule (internal/eventq, the simulator's
+//     event queue, keyed by wall time mapped onto the simulated
+//     timeline) ordered by each object's next poll instant, giving the
+//     dispatcher O(log n) access to the next due refresh instead of an
+//     O(n) scan. Each poll's outcome, next TTR and §3.2 triggering come
+//     from the core refresh step the simulator drives too.
 //   - A bounded pool of poll workers (Config.PollWorkers) that perform
 //     the origin fetches (see refresh.go). Work is routed by the FNV
 //     hash of the consistency group (or the cache key for ungrouped
@@ -88,9 +91,9 @@ import (
 
 	"broadway/internal/core"
 	"broadway/internal/diskstore"
+	"broadway/internal/eventq"
 	"broadway/internal/httpx"
 	"broadway/internal/push"
-	"broadway/internal/sched"
 	"broadway/internal/simtime"
 	"broadway/internal/singleflight"
 )
@@ -373,7 +376,7 @@ type entry struct {
 	// restores when the channel dies.
 	nextAt     time.Time
 	baseNextAt time.Time
-	item       *sched.Item
+	item       *eventq.Item
 
 	// Replacement state. size is the resident bytes charged to the
 	// store's ledger (re-charged on refresh under the shard lock).
@@ -462,7 +465,7 @@ type Proxy struct {
 	groups  map[string]*groupState
 
 	schedMu  sync.Mutex
-	schedule sched.Heap
+	schedule eventq.Queue
 
 	workers []*worker
 	wake    chan struct{}
@@ -526,10 +529,15 @@ type Proxy struct {
 	diskRehydrated  atomic.Uint64
 	diskGraceServes atomic.Uint64
 
-	// Expvar-style cache counters. Misses, evictions, and capped
-	// admissions are counted on the (cold) admission/eviction paths
-	// only; the hit path stays free of shared counters so it gains no
-	// contended cache line (per-entry hits are summed on demand).
+	// hits counts every cache hit since start. It is the one shared
+	// counter the hit path writes, so padding keeps it off the cache
+	// lines of the read-mostly fields around it.
+	_    [64]byte
+	hits atomic.Uint64
+	_    [56]byte
+
+	// Expvar-style cache counters, counted on the (cold)
+	// admission/eviction paths.
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	cappedN   atomic.Uint64
@@ -776,6 +784,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if e := p.store.get(key); e != nil {
 		e.hits.Add(1)
+		p.hits.Add(1)
 		e.markAccessed()
 		p.serveEntry(w, r, e, "HIT")
 		return
@@ -997,18 +1006,8 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		e.isValue = true
 		e.value = v
 		e.valueDelta = a.valueDelta
-		e.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-			Delta:  a.valueDelta,
-			Bounds: p.cfg.Bounds,
-		})
-	} else {
-		e.policy = core.NewLIMD(core.LIMDConfig{Delta: a.delta, Bounds: p.cfg.Bounds})
 	}
-	if a.restoreTTR > 0 {
-		if r, ok := e.policy.(interface{ RestoreTTR(time.Duration) }); ok {
-			r.RestoreTTR(a.restoreTTR)
-		}
-	}
+	e.policy = p.newPolicy(e, a.restoreTTR)
 
 	e.size.Store(entrySize(key, a.body))
 	actual, inserted, victims, capped := p.store.put(key, e, p.cfg.MaxObjects, p.cfg.MaxBytes, p.cfg.Eviction == EvictClock)
@@ -1041,16 +1040,51 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 
 	at := a.scheduleAt
 	if at.IsZero() {
+		var ttr time.Duration
 		e.mu.RLock()
-		ttr := e.policy.InitialTTR()
-		if t, ok := e.policy.(interface{ TTR() time.Duration }); ok && a.restoreTTR > 0 {
-			ttr = t.TTR() // restored schedule, not a cold restart at TTRmin
+		if a.restoreTTR > 0 {
+			ttr = learnedTTR(e.policy) // restored schedule, not a cold restart at TTRmin
+		} else {
+			// The admission fetch is the object's first fetch; the core
+			// refresh step books its first regular poll.
+			ttr = core.Refresh(e.policy, core.ObjectState{}, core.PollRegular,
+				p.toSim(a.validatedAt), core.Observation{Modified: true}).TTR
 		}
 		e.mu.RUnlock()
 		at = a.validatedAt.Add(ttr)
 	}
 	p.reschedule(e, at)
 	return e, true
+}
+
+// newPolicy builds e's individual refresh policy from its resolved
+// tolerances: AdaptiveTTR over Δv for a value-domain object (§4.1), LIMD
+// over Δ otherwise (§3.1). A positive learned TTR re-seeds the policy
+// (clamped to its bounds), so a restart or a tolerance change keeps the
+// schedule the object has earned. Callers hold e.mu or own e exclusively.
+func (p *Proxy) newPolicy(e *entry, learned time.Duration) core.Policy {
+	var pol interface {
+		core.Policy
+		RestoreTTR(time.Duration)
+	}
+	if e.isValue && e.valueDelta > 0 {
+		pol = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{Delta: e.valueDelta, Bounds: p.cfg.Bounds})
+	} else {
+		pol = core.NewLIMD(core.LIMDConfig{Delta: e.delta, Bounds: p.cfg.Bounds})
+	}
+	if learned > 0 {
+		pol.RestoreTTR(learned)
+	}
+	return pol
+}
+
+// learnedTTR returns the TTR a policy has currently learned, or zero for
+// a policy that exposes none (a paired M_v half).
+func learnedTTR(pol core.Policy) time.Duration {
+	if t, ok := pol.(interface{ TTR() time.Duration }); ok {
+		return t.TTR()
+	}
+	return 0
 }
 
 // unwind finishes an eviction: each victim — already removed from the
@@ -1307,8 +1341,8 @@ type Stats struct {
 
 // CacheStats aggregates proxy-wide cache activity, expvar-style.
 type CacheStats struct {
-	// Hits counts cache hits on currently resident objects (an evicted
-	// object's hits leave the total with it).
+	// Hits counts cache hits since start. It never decreases: evicting
+	// an object does not take its hits out of the total.
 	Hits uint64
 	// Misses counts requests that entered the admission path.
 	Misses uint64
@@ -1320,51 +1354,23 @@ type CacheStats struct {
 	// ResidentObjects and ResidentBytes are the current store footprint.
 	ResidentObjects int
 	ResidentBytes   int64
-	// UpstreamErrors counts failed upstream fetches (all paths); the
-	// last error's detail is on UpstreamStatus, not here and never on
-	// a client-facing response body.
-	UpstreamErrors uint64
-	// PushConnected reports whether the invalidation channel is healthy.
-	PushConnected bool
-	// PushEvents counts update notifications received on the channel.
-	PushEvents uint64
-	// PushPolls counts pushed polls the channel converted events into.
-	PushPolls uint64
-	// PushFallbacks counts healthy→disconnected transitions, each of
-	// which ran a staleness-bounded catch-up sweep.
-	PushFallbacks uint64
 	// ToleranceOverrides counts runtime Δ/Δv changes applied through
 	// the /admin/tolerance action (see OverrideTolerance).
 	ToleranceOverrides uint64
 }
 
-// CacheStats returns the proxy-wide cache counters. Hits is summed over
-// resident entries, so it is consistent with ResidentObjects rather
-// than with all-time traffic.
+// CacheStats returns the proxy-wide cache counters. Upstream failures
+// are on UpstreamStatus and invalidation-channel counters on PushStats.
 func (p *Proxy) CacheStats() CacheStats {
-	cs := CacheStats{
-		Misses:          p.misses.Load(),
-		Evictions:       p.evictions.Load(),
-		Capped:          p.cappedN.Load(),
-		ResidentObjects: p.store.len(),
-		ResidentBytes:   p.store.residentBytes(),
-		UpstreamErrors:  p.UpstreamStatus().Errors,
-		PushConnected:   p.pushHealthy.Load(),
-		PushEvents:      p.pushEvents.Load(),
-		PushPolls:       p.pushPolls.Load(),
-		PushFallbacks:   p.pushFallbacks.Load(),
-
+	return CacheStats{
+		Hits:               p.hits.Load(),
+		Misses:             p.misses.Load(),
+		Evictions:          p.evictions.Load(),
+		Capped:             p.cappedN.Load(),
+		ResidentObjects:    p.store.len(),
+		ResidentBytes:      p.store.residentBytes(),
 		ToleranceOverrides: p.toleranceOverrides.Load(),
 	}
-	for i := range p.store.shards {
-		sh := &p.store.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			cs.Hits += e.hits.Load()
-		}
-		sh.mu.RUnlock()
-	}
-	return cs
 }
 
 // lookup finds the entry for a caller-supplied key, canonicalizing it
@@ -1430,7 +1436,7 @@ func (p *Proxy) NextRefreshAt() (at time.Time, ok bool) {
 	p.schedMu.Lock()
 	defer p.schedMu.Unlock()
 	if it := p.schedule.Peek(); it != nil {
-		return it.At, true
+		return it.Payload.(*entry).nextAt, true
 	}
 	return time.Time{}, false
 }

@@ -2,6 +2,7 @@ package webserver
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -272,14 +273,42 @@ func TestEventsEndpointRejectsNonGET(t *testing.T) {
 	}
 }
 
+// smallBufferListener shrinks the kernel send buffer of every accepted
+// connection, so a client that stops reading stalls the serve loop's
+// writes after a few kilobytes instead of after whatever the
+// autotuned loopback buffers happen to absorb.
+type smallBufferListener struct{ net.Listener }
+
+func (l smallBufferListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
 func TestSlowSubscriberIsTerminatedNotBlocking(t *testing.T) {
 	o := NewOrigin(WithPushEvents(""))
-	ts := httptest.NewServer(o)
+	ts := httptest.NewUnstartedServer(o)
+	ts.Listener = smallBufferListener{ts.Listener}
+	ts.Start()
 	defer ts.Close()
 
-	// A raw client that connects and never reads.
+	// A raw client that connects and never reads. Both ends' kernel
+	// buffers are kept small so the stream genuinely stalls: with
+	// loopback-sized buffers the whole burst below fits in flight and
+	// the subscriber only looks slow when the publisher happens to
+	// outrun the serve loop at a scan.
+	transport := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if tc, ok := c.(*net.TCPConn); ok {
+			tc.SetReadBuffer(4096)
+		}
+		return c, err
+	}}
+	defer transport.CloseIdleConnections()
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/events", nil)
-	resp, err := http.DefaultTransport.RoundTrip(req)
+	resp, err := transport.RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +317,15 @@ func TestSlowSubscriberIsTerminatedNotBlocking(t *testing.T) {
 		t.Fatal("never connected")
 	}
 
-	// Publishing far beyond the per-subscriber channel capacity must not
-	// block Set, and must eventually drop the stalled stream.
+	// Publishing far beyond the subscriber buffer allowance must not
+	// block Set, and must eventually drop the stalled stream. The long
+	// key makes each frame a few hundred bytes, so the burst is many
+	// times what the shrunken socket buffers can hold.
+	key := "/" + strings.Repeat("a", 256)
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 1024; i++ {
-			o.Set("/a", []byte{byte(i)}, "")
+			o.Set(key, []byte{byte(i)}, "")
 		}
 		close(done)
 	}()
