@@ -404,6 +404,80 @@ func BenchmarkProxyChurnParallel(b *testing.B) {
 	b.ReportMetric(float64(stats.Evictions)/float64(b.N), "evictions/op")
 }
 
+// BenchmarkProxyDiskChurnParallel is BenchmarkProxyChurnParallel over a
+// warmed disk tier: a byte budget holding a quarter of the key space
+// keeps CLOCK demoting, so nearly every request promotes a record from
+// disk. The records were validated moments ago under an hour-long TTR,
+// so each promotion installs from disk with no upstream request; the
+// benchmark tracks that promotion path (disk read, digest check, entry
+// install, victim demotion).
+func BenchmarkProxyDiskChurnParallel(b *testing.B) {
+	const capacity = 128
+	const keySpace = 4 * capacity
+	const bodySize = 1024
+	paths := make([]string, keySpace)
+	origin := broadway.NewWebOrigin()
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/churn/%d", i)
+		body := fmt.Appendf(nil, "disk churn body %d ", i)
+		for len(body) < bodySize {
+			body = append(body, 'x')
+		}
+		origin.Set(paths[i], body, "text/plain")
+	}
+	originSrv := httptest.NewServer(origin)
+	b.Cleanup(originSrv.Close)
+	u, err := url.Parse(originSrv.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	px, err := broadway.NewWebProxy(broadway.WebProxyConfig{
+		Origin:       u,
+		DefaultDelta: time.Hour,
+		Bounds:       core.TTRBounds{Min: time.Hour, Max: 2 * time.Hour},
+		MaxBytes:     capacity * (bodySize + 600), // ~capacity entries with overhead
+		DiskDir:      b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(px.Close)
+	w := &nopResponseWriter{}
+	for _, p := range paths {
+		w.h, w.code = nil, 0
+		px.ServeHTTP(w, httptest.NewRequest(http.MethodGet, p, nil))
+		if w.code != http.StatusOK {
+			b.Fatalf("warm-up %s: status %d", p, w.code)
+		}
+	}
+	px.FlushDisk()
+	before := px.DiskStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		w := &nopResponseWriter{}
+		for pb.Next() {
+			i := n.Add(1)
+			req := httptest.NewRequest(http.MethodGet, paths[int(i*31)%keySpace], nil)
+			w.h, w.code = nil, 0
+			px.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				b.Errorf("status %d", w.code)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	ds := px.DiskStats()
+	promotions := ds.Promotions - before.Promotions
+	if b.N > keySpace && promotions == 0 {
+		b.Fatal("disk churn benchmark recorded no promotions")
+	}
+	b.ReportMetric(float64(promotions)/float64(b.N), "promotions/op")
+	b.ReportMetric(float64(ds.FreshPromotions-before.FreshPromotions)/float64(b.N), "fresh/op")
+}
+
 // BenchmarkRefreshSchedulerThroughput measures the min-heap refresh
 // schedule on a pop-due/re-push cycle over 10k live objects — the
 // operation the dispatcher performs per poll, formerly an O(n) scan.

@@ -97,7 +97,8 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	e.counter("broadway_disk_deletes_total", "Durable records purged (admin eviction).", float64(ds.Deletes))
 	e.counter("broadway_disk_evictions_total", "Durable records dropped by the disk byte budget.", float64(ds.Evictions))
 	e.counter("broadway_disk_demotions_total", "Replacement victims retained on disk instead of lost.", float64(ds.Demotions))
-	e.counter("broadway_disk_promotions_total", "Disk records re-admitted through a validating fetch.", float64(ds.Promotions))
+	e.counter("broadway_disk_promotions_total", "Disk records re-admitted on demand, with or without a validating fetch.", float64(ds.Promotions))
+	e.counter("broadway_disk_fresh_promotions_total", "Disk records re-admitted within their TTR with no upstream request.", float64(ds.FreshPromotions))
 	e.counter("broadway_disk_rehydrated_total", "Entries restored warm from disk at startup.", float64(ds.Rehydrated))
 	e.counter("broadway_disk_grace_serves_total", "Hits served as X-Cache: GRACE before re-validation.", float64(ds.GraceServes))
 }

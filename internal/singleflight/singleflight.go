@@ -63,6 +63,14 @@ func (g *Group) Do(key string, fn func() (any, error)) (v any, err error, shared
 	return c.val, c.err, false
 }
 
+// InFlight reports whether a Do call for key is executing.
+func (g *Group) InFlight(key string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, ok := g.calls[key]
+	return ok
+}
+
 // forget releases the key and wakes the waiters.
 func (g *Group) forget(key string, c *call) {
 	g.mu.Lock()

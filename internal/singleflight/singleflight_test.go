@@ -147,3 +147,22 @@ func TestPanicPropagatesAndReleasesWaiters(t *testing.T) {
 		t.Fatal("waiter deadlocked after panic")
 	}
 }
+
+func TestInFlight(t *testing.T) {
+	var g Group
+	if g.InFlight("k") {
+		t.Fatal("InFlight on a fresh group")
+	}
+	g.Do("k", func() (any, error) {
+		if !g.InFlight("k") {
+			t.Error("InFlight false while the call executes")
+		}
+		if g.InFlight("other") {
+			t.Error("InFlight true for a key with no call")
+		}
+		return nil, nil
+	})
+	if g.InFlight("k") {
+		t.Error("InFlight true after the call returned")
+	}
+}

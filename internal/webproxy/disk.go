@@ -14,18 +14,28 @@ package webproxy
 //     unbounded.
 //   - promote (demand): a request for a key that lives only on disk —
 //     demoted by CLOCK replacement or beyond the grace window at
-//     startup — revalidates it with a conditional fetch before serving,
-//     reusing the disk body on a 304. Promotion runs inside the
-//     admission singleflight, so the re-admission race resolves to one
-//     origin fetch.
+//     startup — re-admits it. A record this process validated less
+//     than its learned TTR ago is installed as it stands, with no
+//     upstream contact, exactly as a resident copy would be served
+//     until its next poll. Everything else revalidates with a
+//     conditional fetch before serving, reusing the disk body on a
+//     304: a record whose TTR has lapsed, one written by an earlier
+//     process, a group member (it missed the §3.2 triggered polls),
+//     and one marked stale because an invalidation or refresh reached
+//     the proxy while the object was not resident. Promotion runs
+//     inside the admission singleflight, so the re-admission race
+//     resolves to at most one origin fetch.
 //   - demote (replacement): CLOCK victims keep their disk record (the
 //     write-behind already persisted their last validated state), so
 //     capacity is disk-bound, not RAM-bound. Admin Evict purges both
 //     tiers.
 
 import (
+	"time"
+
 	"broadway/internal/diskstore"
 	"broadway/internal/httpx"
+	"broadway/internal/push"
 )
 
 // persistEntry snapshots e's validated state into the disk tier's
@@ -76,12 +86,66 @@ func (p *Proxy) demote(victims []*entry) {
 	}
 }
 
-// promote re-admits a disk-resident object through a validating
-// conditional fetch: a 304 reuses the disk body (metadata and learned
-// TTR restored), a 200 installs the fresh version. Either way the entry
-// re-enters the store validated — never suspect — so promotion cannot
-// widen the Δt bound. Callers hold the admission singleflight slot.
+// promote re-admits a disk-resident object. A record that is still
+// fresh (see freshOnDisk) is installed as it stands, with no upstream
+// contact: a resident copy in that state would not be due for a poll
+// either, and the next regular poll lands where the resident schedule
+// had it, at ValidatedAt + TTR. Any other record goes through a
+// validating conditional fetch: a 304 reuses the disk body (metadata
+// and learned TTR restored), a 200 installs the fresh version. Either
+// way the entry re-enters the store validated — never suspect — so
+// promotion cannot widen the Δt bound past pure polling. Callers hold
+// the admission singleflight slot.
 func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, error) {
+	now := p.cfg.Clock()
+	stale := p.takeDiskStale(key, rec.ValidatedAt)
+	var e *entry
+	var inserted bool
+	if !stale && p.freshOnDisk(rec, now) {
+		// No poll happened, so nothing is re-persisted (the record did
+		// not change) and no PollObservation is emitted.
+		a := p.recordAdmission(rec, body)
+		e, inserted = p.installEntry(key, a)
+		p.diskFresh.Add(1)
+	} else {
+		var err error
+		if e, inserted, err = p.promoteValidated(key, rec, body); err != nil {
+			if stale {
+				p.markDiskStale(key) // still owed a validation
+			}
+			return nil, err
+		}
+	}
+	p.diskPromotions.Add(1)
+	if inserted && p.takeDiskStale(key, now) {
+		// Marked while this promotion ran (an invalidation that found
+		// nothing resident): the installed copy may predate it.
+		p.queueStalePoll(e)
+	}
+	return e, nil
+}
+
+// freshOnDisk reports whether a demoted record may be promoted without
+// an upstream round trip. All of these must hold:
+//   - a learned TTR (paired M_v halves persist zero and re-learn);
+//   - no consistency group (a demoted member missed the §3.2 triggered
+//     polls, so its δ cannot be vouched for);
+//   - validated by this process (an earlier process's record keeps the
+//     restart semantics: GRACE inside DiskGrace, validation outside);
+//   - now still before ValidatedAt + TTR, the instant a resident copy
+//     would be polled in pure polling.
+//
+// Records marked stale (see markDiskStale) are screened out by the
+// caller.
+func (p *Proxy) freshOnDisk(rec diskstore.Record, now time.Time) bool {
+	return rec.TTR > 0 && rec.Group == "" &&
+		!rec.ValidatedAt.Before(p.epoch) &&
+		now.Before(rec.ValidatedAt.Add(rec.TTR))
+}
+
+// promoteValidated re-admits a disk record through a validating
+// conditional fetch.
+func (p *Proxy) promoteValidated(key string, rec diskstore.Record, body []byte) (*entry, bool, error) {
 	since := rec.ValidatedAt
 	if rec.HasLastMod {
 		since = rec.LastMod
@@ -91,7 +155,7 @@ func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, 
 		// No unvalidated stale serves on the demand path: the client
 		// gets the same 502 a cold miss would. (Grace-mode serving is a
 		// startup decision, made explicitly and labeled.)
-		return nil, err
+		return nil, false, err
 	}
 	now := p.cfg.Clock()
 	a := admission{
@@ -128,6 +192,7 @@ func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, 
 	}
 	if resp.notModified {
 		a.body = body
+		a.bodyDigest = recordDigest(rec)
 		a.contentType = rec.ContentType
 		a.cacheControl = rec.CacheControl
 		if cc := resp.header.Get("Cache-Control"); cc != "" {
@@ -146,14 +211,17 @@ func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, 
 
 	var admittedValue float64
 	var admittedHasValue bool
-	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
-		admittedValue, admittedHasValue = v, true
+	if a.valueDelta > 0 {
+		admittedValue, admittedHasValue = parseValueBody(a.body)
 	}
 
 	e, inserted := p.installEntry(key, a)
-	p.diskPromotions.Add(1)
 	if inserted {
 		p.persistEntry(e)
+	} else if !resp.notModified {
+		// Served uncached: the record now predates a version a client
+		// has seen, so it must not be promoted as fresh.
+		p.markDiskStale(key)
 	}
 	if obs := p.cfg.PollObserver; obs != nil {
 		obs(PollObservation{
@@ -161,7 +229,108 @@ func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, 
 			Value: admittedValue, HasValue: admittedHasValue,
 		})
 	}
-	return e, nil
+	return e, inserted, nil
+}
+
+// recordAdmission builds the admission for a disk record installed with
+// no fetch (a fresh promotion or a startup rehydration): the record's
+// validated state, its persisted tolerances over the config defaults,
+// and its learned TTR.
+func (p *Proxy) recordAdmission(rec diskstore.Record, body []byte) admission {
+	a := admission{
+		body:         body,
+		bodyDigest:   recordDigest(rec),
+		contentType:  rec.ContentType,
+		cacheControl: rec.CacheControl,
+		lastMod:      rec.LastMod,
+		hasLastMod:   rec.HasLastMod,
+		validatedAt:  rec.ValidatedAt,
+		delta:        p.cfg.DefaultDelta,
+		groupDelta:   p.cfg.DefaultGroupDelta,
+		valueDelta:   rec.ValueDelta,
+		group:        rec.Group,
+		restoreTTR:   rec.TTR,
+	}
+	if rec.Delta > 0 {
+		a.delta = rec.Delta
+	}
+	if rec.GroupDelta > 0 {
+		a.groupDelta = rec.GroupDelta
+	}
+	return a
+}
+
+// recordDigest derives push.DigestOf(body) from a record's full SHA-256
+// digest, which diskstore.Get has just verified against the body.
+func recordDigest(rec diskstore.Record) string {
+	if len(rec.Digest) < digestLen {
+		return ""
+	}
+	return rec.Digest[:digestLen]
+}
+
+// digestLen is the length of a push.DigestOf digest: the first 8 bytes
+// of the SHA-256, hex-encoded.
+const digestLen = 16
+
+// diskStaleMax bounds the stale-record set (see Proxy.diskStale).
+const diskStaleMax = 4096
+
+// markDiskStale records that key's disk record may be older than what
+// the proxy has learned about the object while it was not resident, so
+// its next promotion validates. A key with neither a disk record nor an
+// admission in flight is skipped — nothing could serve a stale copy of
+// it. The mark is set before the store is checked again: an admission
+// or promotion that installed the key concurrently either finds the
+// mark after its install (see admit and promote) or is returned here,
+// so the caller can poll it.
+func (p *Proxy) markDiskStale(key string) *entry {
+	if p.disk == nil {
+		return nil
+	}
+	if _, ok := p.disk.Meta(key); !ok && !p.flight.InFlight(key) {
+		return nil
+	}
+	p.diskStaleMu.Lock()
+	if len(p.diskStale) >= diskStaleMax {
+		p.diskStale = nil
+		p.diskStaleFloor = p.cfg.Clock()
+	}
+	if p.diskStale == nil {
+		p.diskStale = make(map[string]struct{})
+	}
+	p.diskStale[key] = struct{}{}
+	p.diskStaleMu.Unlock()
+	if e := p.store.get(key); e != nil && !e.evicted.Load() {
+		return e
+	}
+	return nil
+}
+
+// pollIfPromoted marks key's disk record stale and, when a concurrent
+// promotion has already brought the object back, polls it.
+func (p *Proxy) pollIfPromoted(key string) {
+	if e := p.markDiskStale(key); e != nil {
+		p.queueStalePoll(e)
+	}
+}
+
+// queueStalePoll polls e, installed from a record that may be stale, as
+// a pushed job: now, and without disturbing its regular schedule.
+func (p *Proxy) queueStalePoll(e *entry) {
+	p.queuePushed(e, &push.Event{Kind: push.KindUpdate, Key: e.key})
+}
+
+// takeDiskStale consumes key's stale mark. It also reports true for a
+// record validated no later than the floor a set overflow left behind.
+func (p *Proxy) takeDiskStale(key string, validatedAt time.Time) bool {
+	p.diskStaleMu.Lock()
+	defer p.diskStaleMu.Unlock()
+	_, ok := p.diskStale[key]
+	if ok {
+		delete(p.diskStale, key)
+	}
+	return ok || !validatedAt.After(p.diskStaleFloor)
 }
 
 // rehydrate re-admits disk records into the in-memory store at startup.
@@ -182,27 +351,9 @@ func (p *Proxy) rehydrate() {
 			// everything is): left demoted, promoted on demand.
 			continue
 		}
-		a := admission{
-			body:         body,
-			contentType:  rec.ContentType,
-			cacheControl: rec.CacheControl,
-			lastMod:      rec.LastMod,
-			hasLastMod:   rec.HasLastMod,
-			validatedAt:  rec.ValidatedAt,
-			delta:        p.cfg.DefaultDelta,
-			groupDelta:   p.cfg.DefaultGroupDelta,
-			valueDelta:   rec.ValueDelta,
-			group:        rec.Group,
-			restoreTTR:   rec.TTR,
-			suspect:      true,
-			scheduleAt:   now, // immediate validation poll
-		}
-		if rec.Delta > 0 {
-			a.delta = rec.Delta
-		}
-		if rec.GroupDelta > 0 {
-			a.groupDelta = rec.GroupDelta
-		}
+		a := p.recordAdmission(rec, body)
+		a.suspect = true
+		a.scheduleAt = now // immediate validation poll
 		if _, inserted := p.installEntry(key, a); inserted {
 			p.diskRehydrated.Add(1)
 		}
@@ -228,9 +379,12 @@ type DiskStats struct {
 	Evictions   uint64
 	// Demotions counts replacement victims whose disk record made the
 	// eviction a tier transition instead of a loss; Promotions counts
-	// disk records re-admitted through a validating fetch.
-	Demotions  uint64
-	Promotions uint64
+	// disk records re-admitted on demand, and FreshPromotions the share
+	// of those installed within the record's TTR with no upstream
+	// request (the rest ran a validating fetch).
+	Demotions       uint64
+	Promotions      uint64
+	FreshPromotions uint64
 	// Rehydrated counts entries restored warm at startup; GraceServes
 	// counts hits served as X-Cache: GRACE before re-validation.
 	Rehydrated  uint64
@@ -244,18 +398,19 @@ func (p *Proxy) DiskStats() DiskStats {
 	}
 	st := p.disk.Stats()
 	return DiskStats{
-		Enabled:       true,
-		Records:       st.Records,
-		Bytes:         st.Bytes,
-		PendingWrites: st.PendingWrites,
-		Writes:        st.Writes,
-		WriteErrors:   st.WriteErrors,
-		Deletes:       st.Deletes,
-		Evictions:     st.Evictions,
-		Demotions:     p.diskDemotions.Load(),
-		Promotions:    p.diskPromotions.Load(),
-		Rehydrated:    p.diskRehydrated.Load(),
-		GraceServes:   p.diskGraceServes.Load(),
+		Enabled:         true,
+		Records:         st.Records,
+		Bytes:           st.Bytes,
+		PendingWrites:   st.PendingWrites,
+		Writes:          st.Writes,
+		WriteErrors:     st.WriteErrors,
+		Deletes:         st.Deletes,
+		Evictions:       st.Evictions,
+		Demotions:       p.diskDemotions.Load(),
+		Promotions:      p.diskPromotions.Load(),
+		FreshPromotions: p.diskFresh.Load(),
+		Rehydrated:      p.diskRehydrated.Load(),
+		GraceServes:     p.diskGraceServes.Load(),
 	}
 }
 

@@ -6,15 +6,21 @@ package webproxy
 // grace-window semantics, and two-tier eviction.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"broadway/internal/core"
+	"broadway/internal/diskstore"
+	"broadway/internal/push"
 	"broadway/internal/webserver"
 )
 
@@ -418,5 +424,519 @@ func TestEvictPurgesBothTiers(t *testing.T) {
 	px.FlushDisk()
 	if px.DiskStats().Deletes == 0 {
 		t.Error("DiskStats.Deletes = 0 after a two-tier eviction")
+	}
+}
+
+// countingOrigin serves one body per path with a Last-Modified date,
+// answers If-Modified-Since with 304, and counts every request and
+// every conditional request per path.
+type countingOrigin struct {
+	mu       sync.Mutex
+	bodies   map[string]string
+	lastMods map[string]time.Time
+	reqs     map[string]int
+	conds    map[string]int
+}
+
+func newCountingOrigin() *countingOrigin {
+	return &countingOrigin{
+		bodies:   make(map[string]string),
+		lastMods: make(map[string]time.Time),
+		reqs:     make(map[string]int),
+		conds:    make(map[string]int),
+	}
+}
+
+// set publishes body under path, last modified at lm.
+func (o *countingOrigin) set(path, body string, lm time.Time) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.bodies[path] = body
+	o.lastMods[path] = lm
+}
+
+// counts returns the requests and conditional requests seen for path.
+func (o *countingOrigin) counts(path string) (reqs, conds int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.reqs[path], o.conds[path]
+}
+
+func (o *countingOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	body, ok := o.bodies[r.URL.Path]
+	if !ok {
+		http.NotFound(w, r)
+		return
+	}
+	o.reqs[r.URL.Path]++
+	lm := o.lastMods[r.URL.Path]
+	w.Header().Set("Last-Modified", lm.UTC().Format(http.TimeFormat))
+	if ims := r.Header.Get("If-Modified-Since"); ims != "" {
+		o.conds[r.URL.Path]++
+		if since, err := http.ParseTime(ims); err == nil && !lm.After(since) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+	}
+	w.Header().Set("Content-Type", "text/plain")
+	fmt.Fprint(w, body)
+}
+
+// kib returns a 1 KiB body naming path.
+func kib(path string) string {
+	b := "body of " + path + " "
+	for len(b) < 1024 {
+		b += "x"
+	}
+	return b
+}
+
+// newDiskSimProxy starts a disk-tier proxy over h on the stepped clock,
+// with TTRs between 10s and 10m, and advances the clock off the epoch.
+func newDiskSimProxy(t *testing.T, h http.Handler, clk *simClock, cfg Config) *Proxy {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	u, err := url.Parse(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Origin = u
+	cfg.Clock = clk.Now
+	cfg.PollWorkers = 1
+	cfg.DefaultDelta = 30 * time.Second
+	cfg.Bounds = core.TTRBounds{Min: 10 * time.Second, Max: 10 * time.Minute}
+	if cfg.DiskDir == "" {
+		cfg.DiskDir = t.TempDir()
+	}
+	px, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	px.Start()
+	t.Cleanup(px.Close)
+	clk.AdvanceTo(clk.base.Add(admissionPhase))
+	return px
+}
+
+// oneKiBObject is a byte budget that holds exactly one kib body: each
+// admission demotes the previous resident.
+const oneKiBObject = 1024 + entryOverhead + 512
+
+// demoteBy requests other so that key (the only other resident under
+// oneKiBObject) is demoted, and returns key's disk record.
+func demoteBy(t *testing.T, px *Proxy, key, other string) diskstore.Record {
+	t.Helper()
+	if code, _, _ := proxyGet(t, px, other); code != 200 {
+		t.Fatalf("GET %s: %d", other, code)
+	}
+	if px.lookup(key) != nil {
+		t.Fatalf("%s still resident after admitting %s", key, other)
+	}
+	rec, ok := px.disk.Meta(key)
+	if !ok {
+		t.Fatalf("%s has no disk record after demotion", key)
+	}
+	return rec
+}
+
+// TestFreshPromotionSkipsUpstreamWithinTTR: a demoted record validated
+// by this process less than its TTR ago comes back with no upstream
+// request — the body byte-identical, the next poll booked at exactly
+// ValidatedAt + TTR, where the resident schedule had it — and from that
+// instant on the same promotion validates with one conditional fetch.
+func TestFreshPromotionSkipsUpstreamWithinTTR(t *testing.T) {
+	clk := newSimClock()
+	lm := clk.base.Add(-time.Hour)
+	o := newCountingOrigin()
+	o.set("/a", kib("/a"), lm)
+	o.set("/b", kib("/b"), lm)
+	var mu sync.Mutex
+	observed := make(map[string]int)
+	px := newDiskSimProxy(t, o, clk, Config{
+		MaxBytes: oneKiBObject,
+		Shards:   1,
+		PollObserver: func(ob PollObservation) {
+			mu.Lock()
+			observed[ob.Key]++
+			mu.Unlock()
+		},
+	})
+
+	if code, body, _ := proxyGet(t, px, "/a"); code != 200 || body != kib("/a") {
+		t.Fatalf("admission of /a: %d", code)
+	}
+	rec := demoteBy(t, px, "/a", "/b")
+	if rec.TTR <= 0 || rec.Group != "" {
+		t.Fatalf("record %+v cannot exercise the fresh rule", rec)
+	}
+	due := rec.ValidatedAt.Add(rec.TTR)
+
+	clk.AdvanceTo(due.Add(-time.Second))
+	code, body, hdr := proxyGet(t, px, "/a")
+	if code != 200 || body != kib("/a") {
+		t.Fatalf("fresh promotion of /a: %d, body intact %v", code, body == kib("/a"))
+	}
+	if xc := hdr.Get("X-Cache"); xc != "MISS" {
+		t.Errorf("fresh promotion labeled %q, want MISS", xc)
+	}
+	if reqs, _ := o.counts("/a"); reqs != 1 {
+		t.Errorf("origin saw %d requests for /a, want 1 (the admission only)", reqs)
+	}
+	mu.Lock()
+	if got := observed["/a"]; got != 1 {
+		t.Errorf("/a observed %d polls, want 1 (a fresh promotion polls nothing)", got)
+	}
+	mu.Unlock()
+	if px.lookup("/b") != nil {
+		t.Fatal("/b still resident: the budget holds more than one object")
+	}
+	if at, ok := px.NextRefreshAt(); !ok || !at.Equal(due) {
+		t.Errorf("next refresh at %v (ok=%v), want ValidatedAt+TTR = %v", at, ok, due)
+	}
+	if ds := px.DiskStats(); ds.Promotions != 1 || ds.FreshPromotions != 1 {
+		t.Errorf("DiskStats promotions=%d fresh=%d, want 1 and 1", ds.Promotions, ds.FreshPromotions)
+	}
+
+	// /b promotes fresh too (same record age), demoting /a again; at the
+	// due instant /b's own poll runs, and /a's record is no longer fresh.
+	demoteBy(t, px, "/a", "/b")
+	clk.AdvanceTo(due)
+	px.Kick()
+	quiesceSim(t, px, clk)
+	if code, body, _ := proxyGet(t, px, "/a"); code != 200 || body != kib("/a") {
+		t.Fatalf("validating promotion of /a: %d", code)
+	}
+	if reqs, conds := o.counts("/a"); reqs != 2 || conds != 1 {
+		t.Errorf("origin saw %d requests (%d conditional) for /a, want 2 (1)", reqs, conds)
+	}
+	if ds := px.DiskStats(); ds.Promotions != 3 || ds.FreshPromotions != 2 {
+		t.Errorf("DiskStats promotions=%d fresh=%d, want 3 and 2", ds.Promotions, ds.FreshPromotions)
+	}
+}
+
+// TestPromotionValidatesRecordsItCannotVouchFor: every record the fresh
+// rule excludes promotes through exactly one conditional fetch, even
+// inside its TTR; the control record, identical but for the excluded
+// property, promotes with none.
+func TestPromotionValidatesRecordsItCannotVouchFor(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(rec *diskstore.Record, px *Proxy, now time.Time)
+		conds int
+	}{
+		{"fresh", func(*diskstore.Record, *Proxy, time.Time) {}, 0},
+		{"ttr lapsed", func(rec *diskstore.Record, _ *Proxy, now time.Time) { rec.ValidatedAt = now.Add(-rec.TTR) }, 1},
+		{"previous process", func(rec *diskstore.Record, px *Proxy, _ time.Time) { rec.ValidatedAt = px.epoch.Add(-time.Second) }, 1},
+		{"grouped", func(rec *diskstore.Record, _ *Proxy, _ time.Time) { rec.Group = "g" }, 1},
+		// Stamped a second ahead, as after a wall clock steps back: the
+		// TTR window alone would still call it fresh.
+		{"ttr zero", func(rec *diskstore.Record, _ *Proxy, now time.Time) {
+			rec.TTR, rec.ValidatedAt = 0, now.Add(time.Second)
+		}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newSimClock()
+			lm := clk.base.Add(-time.Hour)
+			o := newCountingOrigin()
+			o.set("/r", kib("/r"), lm)
+			px := newDiskSimProxy(t, o, clk, Config{})
+			now := clk.Now()
+			rec := diskstore.Record{
+				Key: "/r", ContentType: "text/plain",
+				LastMod: lm, HasLastMod: true,
+				ValidatedAt: now, TTR: time.Minute, Delta: 30 * time.Second,
+			}
+			tc.edit(&rec, px, now)
+			px.disk.Put(rec, []byte(kib("/r")))
+
+			if code, body, _ := proxyGet(t, px, "/r"); code != 200 || body != kib("/r") {
+				t.Fatalf("promotion of /r: %d", code)
+			}
+			if reqs, conds := o.counts("/r"); reqs != tc.conds || conds != tc.conds {
+				t.Errorf("origin saw %d requests (%d conditional), want %d conditional only", reqs, conds, tc.conds)
+			}
+			if ds := px.DiskStats(); ds.Promotions != 1 || ds.FreshPromotions != uint64(1-tc.conds) {
+				t.Errorf("DiskStats promotions=%d fresh=%d", ds.Promotions, ds.FreshPromotions)
+			}
+		})
+	}
+}
+
+// TestInvalidationWhileDemotedForcesValidation: an invalidation-only
+// event for a demoted key cannot land on its disk record, so it marks
+// the record stale — the next promotion validates with one conditional
+// fetch even inside the TTR, and consumes the mark.
+func TestInvalidationWhileDemotedForcesValidation(t *testing.T) {
+	clk := newSimClock()
+	lm := clk.base.Add(-time.Hour)
+	o := newCountingOrigin()
+	o.set("/a", kib("/a"), lm)
+	o.set("/b", kib("/b"), lm)
+	px := newDiskSimProxy(t, o, clk, Config{MaxBytes: oneKiBObject, Shards: 1})
+
+	proxyGet(t, px, "/a")
+	demoteBy(t, px, "/a", "/b")
+	px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: "/a", Seq: 1})
+	if got := px.PushStats().Dropped; got != 1 {
+		t.Errorf("Dropped = %d, want 1 (the object was not resident)", got)
+	}
+	if code, body, _ := proxyGet(t, px, "/a"); code != 200 || body != kib("/a") {
+		t.Fatalf("promotion of /a: %d", code)
+	}
+	if reqs, conds := o.counts("/a"); reqs != 2 || conds != 1 {
+		t.Errorf("origin saw %d requests (%d conditional) for /a, want 2 (1)", reqs, conds)
+	}
+
+	// The validation consumed the mark: the next demotion inside the TTR
+	// promotes fresh.
+	demoteBy(t, px, "/a", "/b")
+	proxyGet(t, px, "/a")
+	if reqs, _ := o.counts("/a"); reqs != 2 {
+		t.Errorf("origin saw %d requests for /a, want 2 (the mark outlived its validation)", reqs)
+	}
+	if ds := px.DiskStats(); ds.FreshPromotions != 2 {
+		t.Errorf("FreshPromotions = %d, want 2 (/b, then /a)", ds.FreshPromotions)
+	}
+}
+
+// TestRefreshLostToEvictionNeverPromotesOldRecord: a pushed poll
+// fetches a body too large to stay resident, so the entry leaves the
+// store before the refresh can persist it. The disk record still holds
+// the older version, inside its TTR; it must not come back fresh —
+// every request serves the newer body, uncached.
+func TestRefreshLostToEvictionNeverPromotesOldRecord(t *testing.T) {
+	clk := newSimClock()
+	o := newCountingOrigin()
+	o.set("/g", "small", clk.base.Add(-time.Hour))
+	px := newDiskSimProxy(t, o, clk, Config{MaxBytes: 4096})
+
+	if code, body, _ := proxyGet(t, px, "/g"); code != 200 || body != "small" {
+		t.Fatalf("admission of /g: %d %q", code, body)
+	}
+	big := strings.Repeat("B", 8192)
+	o.set("/g", big, clk.base)
+	px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: "/g", Seq: 1})
+	quiesceSim(t, px, clk)
+	if px.lookup("/g") != nil {
+		t.Fatal("/g still resident after growing past MaxBytes")
+	}
+	px.FlushDisk()
+	if _, body, ok := px.disk.Get("/g"); !ok || string(body) != "small" {
+		t.Fatalf("disk record: ok=%v body %q, want the old version", ok, body)
+	}
+	for i := 0; i < 2; i++ {
+		code, body, hdr := proxyGet(t, px, "/g")
+		if code != 200 || body != big {
+			t.Fatalf("request %d: %d, served the new body %v", i, code, body == big)
+		}
+		if xc := hdr.Get("X-Cache"); xc != "BYPASS" {
+			t.Errorf("request %d labeled %q, want BYPASS", i, xc)
+		}
+	}
+	if ds := px.DiskStats(); ds.FreshPromotions != 0 {
+		t.Errorf("FreshPromotions = %d, want 0", ds.FreshPromotions)
+	}
+}
+
+// TestRecordDigestIsPushDigest pins the identity promote relies on to
+// skip a rehash: a disk record's digest is the full hex SHA-256 of the
+// body, and push.DigestOf is its first 16 hex characters.
+func TestRecordDigestIsPushDigest(t *testing.T) {
+	ds, err := diskstore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	for i, b := range [][]byte{nil, []byte("x"), []byte(kib("/d")), make([]byte, 70_000)} {
+		key := fmt.Sprintf("/d/%d", i)
+		ds.Put(diskstore.Record{Key: key}, b)
+		rec, body, ok := ds.Get(key)
+		if !ok {
+			t.Fatalf("%s: record unreadable", key)
+		}
+		sum := sha256.Sum256(body)
+		if got, want := push.DigestOf(b), hex.EncodeToString(sum[:])[:16]; got != want {
+			t.Errorf("%s: DigestOf = %s, want %s", key, got, want)
+		}
+		if got, want := recordDigest(rec), push.DigestOf(b); got != want {
+			t.Errorf("%s: recordDigest = %q, want DigestOf %q", key, got, want)
+		}
+	}
+}
+
+// TestInvalidationsDuringDemotionChurnLeaveNoStaleCopy races demotion
+// churn (requests over a key space four times the byte budget) against
+// origin updates announced by invalidation-only events, under hour-long
+// TTRs so no regular poll can rescue a missed update. Once the proxy is
+// quiet, every key must serve its latest version: an event that found
+// its object demoted, or raced its admission or promotion, or was owed
+// by a pushed job whose entry was demoted first, must still have
+// reached it.
+func TestInvalidationsDuringDemotionChurnLeaveNoStaleCopy(t *testing.T) {
+	for _, pushValues := range []bool{false, true} {
+		t.Run(fmt.Sprintf("PushValues=%v", pushValues), func(t *testing.T) {
+			const keys = 32
+			o := newCountingOrigin()
+			base := time.Unix(1_600_000_000, 0)
+			var verMu sync.Mutex
+			version := make([]int, keys)
+			body := func(i, v int) string { return fmt.Sprintf("%s v%d", kib(fmt.Sprintf("/c/%d", i)), v) }
+			for i := 0; i < keys; i++ {
+				o.set(fmt.Sprintf("/c/%d", i), body(i, 0), base)
+			}
+			px, _ := newHandlerProxy(t, o, Config{
+				MaxBytes:     8 * oneKiBObject,
+				Shards:       4,
+				PollWorkers:  2,
+				Bounds:       noRefreshBounds,
+				DefaultDelta: time.Hour,
+				DiskDir:      t.TempDir(),
+				PushValues:   pushValues,
+			})
+
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for n := 0; n < 300; n++ {
+						if code, _, _ := proxyGet(t, px, fmt.Sprintf("/c/%d", rng.Intn(keys))); code != 200 {
+							t.Errorf("status %d", code)
+							return
+						}
+					}
+				}(int64(g))
+			}
+			rng := rand.New(rand.NewSource(99))
+			for n := 1; n <= 150; n++ {
+				i := rng.Intn(keys)
+				verMu.Lock()
+				version[i]++
+				v := version[i]
+				verMu.Unlock()
+				key := fmt.Sprintf("/c/%d", i)
+				o.set(key, body(i, v), base.Add(time.Duration(n)*time.Second))
+				px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: key, Seq: uint64(n)})
+			}
+			wg.Wait()
+
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				next, ok := px.NextRefreshAt()
+				if px.InFlightPolls() == 0 && (!ok || next.After(time.Now())) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("proxy never quiesced")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for i := 0; i < keys; i++ {
+				if _, got, _ := proxyGet(t, px, fmt.Sprintf("/c/%d", i)); got != body(i, version[i]) {
+					t.Errorf("/c/%d served %q, want version %d", i, got[len(got)-4:], version[i])
+				}
+			}
+			if ds := px.DiskStats(); ds.Demotions == 0 || ds.FreshPromotions == 0 {
+				t.Errorf("churn never exercised fresh promotion: %+v", ds)
+			}
+		})
+	}
+}
+
+// TestInvalidationDuringFetchIsNotLost pins the window an upstream
+// fetch opens: the origin updates the object and announces it while
+// the proxy's admission (or validating promotion) fetch is in flight,
+// and that fetch still returns the old version. The event finds nothing
+// resident, yet the installed copy must be polled once more, so the
+// update is served as soon as the proxy is quiet.
+func TestInvalidationDuringFetchIsNotLost(t *testing.T) {
+	for _, onDisk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("onDisk=%v", onDisk), func(t *testing.T) {
+			lm := time.Unix(1_600_000_000, 0)
+			var mu sync.Mutex
+			body, reqs := "v0", 0
+			var px *Proxy
+			handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				reqs++
+				served, servedLM, first := body, lm, reqs == 1
+				if first {
+					// The update lands after this response was produced.
+					body, lm = "v1", lm.Add(time.Second)
+				}
+				mu.Unlock()
+				if first {
+					px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: "/x", Seq: 1})
+				}
+				w.Header().Set("Last-Modified", servedLM.UTC().Format(http.TimeFormat))
+				if since, err := http.ParseTime(r.Header.Get("If-Modified-Since")); err == nil && !servedLM.After(since) {
+					w.WriteHeader(http.StatusNotModified)
+					return
+				}
+				fmt.Fprint(w, served)
+			})
+			px, _ = newHandlerProxy(t, handler, Config{
+				Bounds:       noRefreshBounds,
+				DefaultDelta: time.Hour,
+				DiskDir:      t.TempDir(),
+			})
+			if onDisk {
+				// A record from an earlier process: it promotes through a
+				// validating fetch.
+				px.disk.Put(diskstore.Record{
+					Key: "/x", LastMod: lm, HasLastMod: true,
+					ValidatedAt: px.epoch.Add(-time.Second), TTR: time.Hour,
+				}, []byte("v0"))
+			}
+			if _, got, _ := proxyGet(t, px, "/x"); got != "v0" {
+				t.Fatalf("first serve = %q, want the fetched v0", got)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				_, got, _ := proxyGet(t, px, "/x")
+				if got == "v1" && px.InFlightPolls() == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("still serving %q: the update announced mid-fetch was lost", got)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestDiskStaleOverflowRaisesFloor: the stale-record set stays bounded;
+// overflowing it forgets the individual marks but makes every record
+// validated up to that instant validate on promotion, so no mark is
+// lost in effect.
+func TestDiskStaleOverflowRaisesFloor(t *testing.T) {
+	clk := newSimClock()
+	px := newDiskSimProxy(t, newCountingOrigin(), clk, Config{})
+	validated := clk.Now()
+	for i := 0; i <= diskStaleMax; i++ {
+		key := fmt.Sprintf("/o/%d", i)
+		px.disk.Put(diskstore.Record{Key: key, ValidatedAt: validated, TTR: time.Hour}, []byte("b"))
+		px.markDiskStale(key)
+	}
+	px.diskStaleMu.Lock()
+	n := len(px.diskStale)
+	px.diskStaleMu.Unlock()
+	if n > diskStaleMax {
+		t.Fatalf("stale set holds %d keys, bound %d", n, diskStaleMax)
+	}
+	if !px.takeDiskStale("/o/0", validated) {
+		t.Error("a mark forgotten by the overflow no longer forces validation")
+	}
+	if px.takeDiskStale("/o/0", validated.Add(time.Nanosecond)) {
+		t.Error("a record validated after the overflow is still forced to validate")
+	}
+	if !px.takeDiskStale(fmt.Sprintf("/o/%d", diskStaleMax), validated.Add(time.Second)) {
+		t.Error("the mark that overflowed the set was dropped")
 	}
 }

@@ -184,7 +184,9 @@ func (p *Proxy) noteDownstreamInterest(is push.InterestSet) {
 // event installs its payload directly on the object's affinity worker
 // (see applyPushedValue), anything else runs today's pushed poll.
 // Events for non-resident objects are dropped — the proxy only ever
-// pays refresh traffic for objects it actually caches. Back-to-back
+// pays refresh traffic for objects it actually caches — after landing
+// on (or, failing that, marking stale) a demoted object's disk record,
+// so its next promotion never serves the superseded copy. Back-to-back
 // events for one object coalesce onto a single queued job, with the
 // entry's pendingPush slot always holding the NEWEST event so a
 // coalesced burst installs the latest body, never a dropped
@@ -207,13 +209,24 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		if p.applyPushedToDisk(ev) {
 			return // demoted object: its disk record absorbed the update
 		}
-		p.pushDropped.Add(1)
-		return
+		// A demoted object's record now predates the update: mark it so
+		// the next promotion validates. A promotion that raced this
+		// event has made the object resident again; handle it as such.
+		if e = p.markDiskStale(eventCacheKey(ev.Key)); e == nil {
+			p.pushDropped.Add(1)
+			return
+		}
 	}
+	p.queuePushed(e, &ev)
+}
+
+// queuePushed hands e a pushed job for ev, coalescing onto the job
+// already queued for it, if any.
+func (p *Proxy) queuePushed(e *entry, ev *push.Event) {
 	if p.cfg.PushValues {
 		// Only the apply path reads pendingPush; an invalidation-only
 		// proxy keeps its allocation-free event handling.
-		e.pendingPush.Store(&ev)
+		e.pendingPush.Store(ev)
 	}
 	if !e.pushQueued.CompareAndSwap(false, true) {
 		return // a pushed job is already queued for this object
@@ -385,22 +398,20 @@ func (p *Proxy) resolveDelta(e *entry, ev *push.Event) ([]byte, bool) {
 // applyPushedToDisk lands a pushed payload on the disk record of an
 // object that is no longer (or not yet again) resident — a CLOCK
 // demotion whose record survives in the persistent tier. Without this,
-// every push for a demoted object is dropped and the record ages
-// toward a promotion poll; with it, the record tracks the origin and
-// the next promotion's conditional fetch answers 304 against fresh
-// state. A delta frame is applied against the disk body, whose digest
-// is computed from the bytes actually read back (the content-addressed
-// store verifies them against the record on every Get) — the same
-// base-authority rule as the resident path. It reports whether the
-// event was fully handled (installed, or recognized as a duplicate).
+// every push for a demoted object only marks its record stale, forcing
+// a validating promotion; with it, the record tracks the origin, so the
+// next promotion installs the pushed version (fetch-free inside the
+// TTR, a 304 after it). A delta frame is applied against the disk body,
+// whose digest is computed from the bytes actually read back (the
+// content-addressed store verifies them against the record on every
+// Get) — the same base-authority rule as the resident path. It
+// reports whether the event was fully handled (installed, or recognized
+// as a duplicate).
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	if !p.cfg.PushValues || p.disk == nil || !ev.HasBody {
 		return false
 	}
-	ck := ev.Key
-	if u, err := url.Parse(ev.Key); err == nil {
-		ck = canonicalKey(u)
-	}
+	ck := eventCacheKey(ev.Key)
 	rec, base, ok := p.disk.Get(ck)
 	if !ok {
 		return false
@@ -434,6 +445,15 @@ func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	p.disk.Put(rec, body)
 	p.pushDiskApplied.Add(1)
 	return true
+}
+
+// eventCacheKey maps an event's key to the cache key it names, the way
+// lookup canonicalizes a caller-supplied key.
+func eventCacheKey(key string) string {
+	if u, err := url.Parse(key); err == nil {
+		return canonicalKey(u)
+	}
+	return key
 }
 
 // eventKeyResolvesTo reports whether an origin invalidation event for
@@ -600,9 +620,11 @@ type PushStats struct {
 	Connected bool
 	// Events counts update notifications received.
 	Events uint64
-	// Polls counts pushed jobs enqueued (coalesced bursts enqueue one).
-	// With PushValues each job first tries to install the event's
-	// payload and only polls when that fails.
+	// Polls counts pushed jobs enqueued (coalesced bursts enqueue one),
+	// including the re-polls of a disk-tier copy installed while an
+	// invalidation for it was in flight (see markDiskStale). With
+	// PushValues each job first tries to install the event's payload
+	// and only polls when that fails.
 	Polls uint64
 	// Dropped counts events for objects that were not resident.
 	Dropped uint64

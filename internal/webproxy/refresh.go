@@ -311,8 +311,12 @@ func (p *Proxy) pollEntry(e *entry, kind core.PollKind) {
 	}
 	// An entry evicted after being popped off the schedule (or while
 	// queued on its worker) must not poll the origin: eviction promises
-	// the object never causes another upstream request.
+	// the object never causes another upstream request. A pushed job's
+	// event is owed all the same, so a demoted record is marked stale.
 	if e.evicted.Load() {
+		if kind == core.PollPushed {
+			p.pollIfPromoted(e.key)
+		}
 		return
 	}
 	e.mu.RLock()
@@ -484,7 +488,10 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 		gs.mu.Unlock()
 	}
 	if e.evicted.Load() {
-		return false // evicted mid-refresh: no reschedule, no triggering
+		// Evicted mid-refresh: no reschedule, no triggering. A demoted
+		// record misses what this refresh learned, so mark it stale.
+		p.pollIfPromoted(e.key)
+		return false
 	}
 
 	// The refresh confirmed (or replaced) the cached copy against the
@@ -495,6 +502,11 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 		e.suspect.Store(false)
 	}
 	p.persistEntry(e)
+	if e.evicted.Load() {
+		// Demoted before the write above was queued: a promotion may
+		// already have read the older record.
+		p.pollIfPromoted(e.key)
+	}
 
 	if rr.step.Reschedule {
 		// While the push channel is healthy the regular poll is only a

@@ -35,8 +35,9 @@ type ToleranceOverride struct {
 // OverrideTolerance sets a resident object's Δ (dt) and/or Δv (dv) at
 // runtime; a non-positive value leaves that tolerance unchanged. It
 // reports ok=false when the key is not resident (the disk tier is not
-// patched directly: a demoted object re-resolves its tolerances at
-// promotion, when the origin gets its say anyway).
+// patched directly: a demoted object re-resolves its tolerances at its
+// next validating promotion or poll, when the origin gets its say
+// anyway).
 func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (ToleranceOverride, bool) {
 	e := p.lookup(key)
 	if e == nil || e.evicted.Load() {

@@ -76,6 +76,7 @@
 package webproxy
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -244,10 +245,10 @@ type Config struct {
 	// DiskDir, when set, enables the persistent disk tier (see disk.go
 	// and internal/diskstore): every validated object is written behind
 	// the in-memory store asynchronously, CLOCK victims demote to disk
-	// instead of vanishing (promoted back through a validating fetch on
-	// the next request), and a restart rehydrates the cache warm with
-	// learned TTR state intact. Empty disables persistence (the
-	// default).
+	// instead of vanishing (promoted back on the next request, through
+	// a validating fetch once the record's TTR has run out), and a
+	// restart rehydrates the cache warm with learned TTR state intact.
+	// Empty disables persistence (the default).
 	DiskDir string
 	// DiskMaxBytes bounds the disk tier's blob bytes; the oldest-
 	// validated records are dropped beyond it. Zero or negative means
@@ -526,8 +527,20 @@ type Proxy struct {
 	disk            *diskstore.Store
 	diskDemotions   atomic.Uint64
 	diskPromotions  atomic.Uint64
+	diskFresh       atomic.Uint64
 	diskRehydrated  atomic.Uint64
 	diskGraceServes atomic.Uint64
+	// diskStale holds keys whose disk record may be older than what the
+	// proxy learned while the object was not resident (an invalidation
+	// that found it demoted or mid-admission, a refresh that finished
+	// after its entry left the store); their next promotion validates,
+	// and an admission or promotion that raced the mark polls once more
+	// (see markDiskStale). When the set would
+	// outgrow diskStaleMax it is emptied and diskStaleFloor moves to
+	// now: every record validated at or before the floor validates too.
+	diskStaleMu    sync.Mutex
+	diskStale      map[string]struct{}
+	diskStaleFloor time.Time
 
 	// hits counts every cache hit since start. It is the one shared
 	// counter the hit path writes, so padding keeps it off the cache
@@ -882,13 +895,14 @@ func (p *Proxy) admit(key string) (*entry, error) {
 	if p.disk != nil {
 		if rec, body, ok := p.disk.Get(key); ok {
 			// Demoted to disk earlier (or left beyond the grace window at
-			// startup): promote through a validating conditional fetch.
-			// Running inside the singleflight group guards the
-			// re-admission race — one promote per key, concurrent
-			// requesters share it.
+			// startup): promote — straight from the record while its TTR
+			// runs, else through a validating conditional fetch. Running
+			// inside the singleflight group guards the re-admission race
+			// — one promote per key, concurrent requesters share it.
 			return p.promote(key, rec, body)
 		}
 	}
+	fetchStart := p.cfg.Clock()
 	resp, err := p.fetch(key, time.Time{})
 	if err != nil {
 		return nil, err
@@ -922,8 +936,8 @@ func (p *Proxy) admit(key string) (*entry, error) {
 	// is visible, and the observer call below must not race it.
 	var admittedValue float64
 	var admittedHasValue bool
-	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
-		admittedValue, admittedHasValue = v, true
+	if a.valueDelta > 0 {
+		admittedValue, admittedHasValue = parseValueBody(a.body)
 	}
 
 	e, inserted := p.installEntry(key, a)
@@ -931,6 +945,11 @@ func (p *Proxy) admit(key string) (*entry, error) {
 		return e, nil
 	}
 	p.persistEntry(e)
+	if p.disk != nil && p.takeDiskStale(key, fetchStart) {
+		// An invalidation arrived while the fetch ran (see
+		// markDiskStale): the admitted copy may predate it.
+		p.queueStalePoll(e)
+	}
 	if obs := p.cfg.PollObserver; obs != nil {
 		obs(PollObservation{
 			Key: key, At: now, Modified: true, Initial: true,
@@ -942,8 +961,9 @@ func (p *Proxy) admit(key string) (*entry, error) {
 
 // admission carries everything installEntry needs to build and register
 // a cache entry. Three paths feed it: a first-contact origin fetch
-// (admit), a disk-tier promote (validating conditional fetch), and a
-// startup rehydration (no fetch at all — the entry is born suspect).
+// (admit), a disk-tier promote (a validating conditional fetch, or none
+// while the record is within its TTR), and a startup rehydration (no
+// fetch at all — the entry is born suspect).
 type admission struct {
 	body         []byte
 	contentType  string
@@ -955,6 +975,10 @@ type admission struct {
 	groupDelta   time.Duration
 	valueDelta   float64
 	group        string
+	// bodyDigest, when set, is push.DigestOf(body) already known to the
+	// caller (a disk record's verified digest), saving installEntry the
+	// rehash; empty means hash the body if a digest is needed.
+	bodyDigest string
 	// restoreTTR re-seeds the refresh policy's learned TTR (clamped to
 	// Bounds); zero learns from scratch at InitialTTR.
 	restoreTTR time.Duration
@@ -988,7 +1012,10 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 	}
 	e.suspect.Store(a.suspect)
 	if p.cfg.PushValues {
-		e.bodyDigest = push.DigestOf(a.body)
+		e.bodyDigest = a.bodyDigest
+		if e.bodyDigest == "" {
+			e.bodyDigest = push.DigestOf(a.body)
+		}
 	}
 	if p.sub != nil {
 		// An object the channel can never announce must not have its
@@ -1002,10 +1029,12 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 	}
 	// An origin advertising a Δv tolerance with a numeric body selects
 	// value-domain consistency (§4.1); everything else runs LIMD.
-	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
-		e.isValue = true
-		e.value = v
-		e.valueDelta = a.valueDelta
+	if a.valueDelta > 0 {
+		if v, ok := parseValueBody(a.body); ok {
+			e.isValue = true
+			e.value = v
+			e.valueDelta = a.valueDelta
+		}
 	}
 	e.policy = p.newPolicy(e, a.restoreTTR)
 
@@ -1299,13 +1328,15 @@ func (p *Proxy) fetchUpstream(key string, since time.Time) (*upstreamResponse, e
 }
 
 // parseValueBody interprets a response body as a decimal value (e.g. a
-// stock quote feed serving "165.38\n").
+// stock quote feed serving "165.38\n"). The body is trimmed and
+// length-checked as bytes, so a large non-numeric body is rejected
+// without being copied into a string.
 func parseValueBody(body []byte) (float64, bool) {
-	s := strings.TrimSpace(string(body))
-	if s == "" || len(s) > 64 {
+	b := bytes.TrimSpace(body)
+	if len(b) == 0 || len(b) > 64 {
 		return 0, false
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(string(b), 64)
 	if err != nil {
 		return 0, false
 	}
