@@ -1,8 +1,8 @@
 // Command diskcheck validates a persistent disk tier directory
 // (mcproxy -disk-dir) without opening it for writing: the metadata
 // journal must parse — a torn tail from a crash mid-append is
-// tolerated, anything else is corruption — and every live record's blob
-// must exist with the recorded size and content digest. The
+// tolerated, anything else is corruption — and every live record's body
+// must lie within its pack file and match the recorded content digest. The
 // crash-consistency smoke (scripts/disk-crash-smoke.sh) runs it against
 // a SIGKILLed proxy's directory before restarting over it.
 //
@@ -38,6 +38,6 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "ok: %d records, index and blobs agree\n", n)
+	fmt.Fprintf(out, "ok: %d records, index and packs agree\n", n)
 	return nil
 }

@@ -24,23 +24,32 @@ func TestRunVerifiesAndCountsRecords(t *testing.T) {
 		t.Fatalf("run on a consistent store: %v", err)
 	}
 
-	// Corrupt one blob (truncate it): the size check must trip.
-	var blob string
-	filepath.Walk(filepath.Join(dir, "blobs"), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			blob = path
-		}
-		return nil
-	})
-	if blob == "" {
-		t.Fatal("no blob written")
+	// Corrupt one body's bytes in place: the digest check must trip.
+	packs, err := filepath.Glob(filepath.Join(dir, "blobs-*.pack"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("pack files = %v, %v; want one", packs, err)
 	}
-	if err := os.Truncate(blob, 1); err != nil {
+	f, err := os.OpenFile(packs[0], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("X"), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	err = run([]string{dir}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Errorf("run on corrupt pack bytes = %v, want a digest mismatch", err)
+	}
+
+	// Cut the pack short: the record whose body ran past the new end
+	// must be named.
+	if err := os.Truncate(packs[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	err = run([]string{dir}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "blob size") {
-		t.Errorf("run on a truncated blob = %v, want a size mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "runs past the end") {
+		t.Errorf("run on a truncated pack = %v, want a body past the end", err)
 	}
 }
 

@@ -124,7 +124,7 @@ func run(args []string) error {
 	opsListen := fs.String("ops-listen", "", "operational-surface listen address serving /metrics, /healthz, and /admin (empty = disabled); kept off the proxy's own listener so scrapes and admin calls never share a port with cached content")
 	opsToken := fs.String("ops-token", "", "bearer token gating the /admin API on -ops-listen (empty = open)")
 	diskDir := fs.String("disk-dir", "", "directory for the persistent disk tier (empty = memory only); survives restarts, rehydrating cached objects with their learned TTR state")
-	diskMaxBytes := fs.Int64("disk-max-bytes", 0, "byte budget for the disk tier's blobs (0 = unlimited); oldest-validated records are dropped beyond it")
+	diskMaxBytes := fs.Int64("disk-max-bytes", 0, "byte budget for the bodies of the disk tier's live records (0 = unlimited); oldest-validated records are dropped beyond it")
 	drain := fs.Duration("drain", 5*time.Second, "in-flight request drain timeout on shutdown")
 	runFor := fs.Duration("run-for", 0, "exit after this long (0 = run until interrupted)")
 	if err := fs.Parse(args); err != nil {

@@ -90,7 +90,7 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	ds := p.DiskStats()
 	e.gauge("broadway_disk_enabled", "1 when the persistent disk tier is configured.", boolVal(ds.Enabled))
 	e.gauge("broadway_disk_records", "Records in the durable metadata index.", float64(ds.Records))
-	e.gauge("broadway_disk_bytes", "Blob bytes accounted by the durable index.", float64(ds.Bytes))
+	e.gauge("broadway_disk_bytes", "Body bytes of the durable index's live records.", float64(ds.Bytes))
 	e.gauge("broadway_disk_pending_writes", "Write-behind queue depth in coalesced keys.", float64(ds.PendingWrites))
 	e.counter("broadway_disk_writes_total", "Persist operations applied by the write-behind worker.", float64(ds.Writes))
 	e.counter("broadway_disk_write_errors_total", "Persist operations that failed at the filesystem.", float64(ds.WriteErrors))

@@ -98,7 +98,8 @@ func (p *Proxy) demote(victims []*entry) {
 // the admission singleflight slot.
 func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, error) {
 	now := p.cfg.Clock()
-	stale := p.takeDiskStale(key, rec.ValidatedAt)
+	announced, marked := p.takeStale(key, rec.ValidatedAt)
+	stale := marked && predates(announced, rec.LastMod, rec.HasLastMod)
 	var e *entry
 	var inserted bool
 	if !stale && p.freshOnDisk(rec, now) {
@@ -111,16 +112,16 @@ func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, 
 		var err error
 		if e, inserted, err = p.promoteValidated(key, rec, body); err != nil {
 			if stale {
-				p.markDiskStale(key) // still owed a validation
+				p.markStale(key, announced) // still owed a validation
 			}
 			return nil, err
 		}
 	}
 	p.diskPromotions.Add(1)
-	if inserted && p.takeDiskStale(key, now) {
+	if inserted {
 		// Marked while this promotion ran (an invalidation that found
 		// nothing resident): the installed copy may predate it.
-		p.queueStalePoll(e)
+		p.pollIfMarked(e, now)
 	}
 	return e, nil
 }
@@ -135,7 +136,7 @@ func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, 
 //   - now still before ValidatedAt + TTR, the instant a resident copy
 //     would be polled in pure polling.
 //
-// Records marked stale (see markDiskStale) are screened out by the
+// Records marked stale (see markStale) are screened out by the
 // caller.
 func (p *Proxy) freshOnDisk(rec diskstore.Record, now time.Time) bool {
 	return rec.TTR > 0 && rec.Group == "" &&
@@ -221,7 +222,7 @@ func (p *Proxy) promoteValidated(key string, rec diskstore.Record, body []byte) 
 	} else if !resp.notModified {
 		// Served uncached: the record now predates a version a client
 		// has seen, so it must not be promoted as fresh.
-		p.markDiskStale(key)
+		p.markStale(key, time.Time{})
 	}
 	if obs := p.cfg.PollObserver; obs != nil {
 		obs(PollObservation{
@@ -273,64 +274,103 @@ func recordDigest(rec diskstore.Record) string {
 // of the SHA-256, hex-encoded.
 const digestLen = 16
 
-// diskStaleMax bounds the stale-record set (see Proxy.diskStale).
-const diskStaleMax = 4096
+// staleMarkMax bounds the stale-mark set (see Proxy.staleMarks).
+const staleMarkMax = 4096
 
-// markDiskStale records that key's disk record may be older than what
-// the proxy has learned about the object while it was not resident, so
-// its next promotion validates. A key with neither a disk record nor an
-// admission in flight is skipped — nothing could serve a stale copy of
-// it. The mark is set before the store is checked again: an admission
-// or promotion that installed the key concurrently either finds the
-// mark after its install (see admit and promote) or is returned here,
-// so the caller can poll it.
-func (p *Proxy) markDiskStale(key string) *entry {
-	if p.disk == nil {
-		return nil
+// markStale records that key's copy outside the store — the response of
+// an admission fetch in flight, or a disk record — may be older than
+// what the proxy has learned about the object while it was not
+// resident, so an admission installing it polls once more and a
+// promotion of the record validates. announced is the modification an
+// invalidation announced, or zero when unknown: a copy already at that
+// version is current (see predates). A key with neither an admission in
+// flight nor a disk record is skipped — nothing could serve a stale copy
+// of it. The mark is set before the store is checked again: an
+// admission or promotion that installed the key concurrently either
+// finds the mark after its install (see pollIfMarked) or is returned
+// here, so the caller can poll it.
+func (p *Proxy) markStale(key string, announced time.Time) *entry {
+	if !p.flight.InFlight(key) {
+		if p.disk == nil {
+			return nil
+		}
+		if _, ok := p.disk.Meta(key); !ok {
+			return nil
+		}
 	}
-	if _, ok := p.disk.Meta(key); !ok && !p.flight.InFlight(key) {
-		return nil
+	p.staleMu.Lock()
+	if len(p.staleMarks) >= staleMarkMax {
+		p.staleMarks = nil
+		p.staleFloor = p.cfg.Clock()
 	}
-	p.diskStaleMu.Lock()
-	if len(p.diskStale) >= diskStaleMax {
-		p.diskStale = nil
-		p.diskStaleFloor = p.cfg.Clock()
+	if p.staleMarks == nil {
+		p.staleMarks = make(map[string]time.Time)
 	}
-	if p.diskStale == nil {
-		p.diskStale = make(map[string]struct{})
+	if prev, ok := p.staleMarks[key]; ok && !announced.IsZero() && (prev.IsZero() || prev.After(announced)) {
+		announced = prev // an unknown or newer announcement wins
 	}
-	p.diskStale[key] = struct{}{}
-	p.diskStaleMu.Unlock()
+	p.staleMarks[key] = announced
+	p.staleMu.Unlock()
 	if e := p.store.get(key); e != nil && !e.evicted.Load() {
 		return e
 	}
 	return nil
 }
 
-// pollIfPromoted marks key's disk record stale and, when a concurrent
+// pollIfPromoted marks key stale and, when a concurrent admission or
 // promotion has already brought the object back, polls it.
 func (p *Proxy) pollIfPromoted(key string) {
-	if e := p.markDiskStale(key); e != nil {
+	if e := p.markStale(key, time.Time{}); e != nil {
 		p.queueStalePoll(e)
 	}
 }
 
-// queueStalePoll polls e, installed from a record that may be stale, as
-// a pushed job: now, and without disturbing its regular schedule.
+// pollIfMarked consumes e's stale mark once an admission or promotion
+// has installed e from a copy validated at since, and polls e once more
+// if that copy may predate the mark.
+func (p *Proxy) pollIfMarked(e *entry, since time.Time) {
+	announced, marked := p.takeStale(e.key, since)
+	if !marked {
+		return
+	}
+	e.mu.RLock()
+	stale := predates(announced, e.lastMod, e.hasLastMod)
+	e.mu.RUnlock()
+	if stale {
+		p.queueStalePoll(e)
+	}
+}
+
+// predates reports whether a copy last modified at lastMod may predate
+// a stale mark that announced the modification at announced. Origins
+// modify strictly forward in time, so a copy at or past the announced
+// instant already holds that version — the rule a pushed duplicate is
+// recognized by. An unknown announcement or modification time always
+// predates.
+func predates(announced, lastMod time.Time, hasLastMod bool) bool {
+	return announced.IsZero() || !hasLastMod || announced.After(lastMod)
+}
+
+// queueStalePoll polls e, installed from a copy that may be stale, as a
+// pushed job: now, and without disturbing its regular schedule.
 func (p *Proxy) queueStalePoll(e *entry) {
 	p.queuePushed(e, &push.Event{Kind: push.KindUpdate, Key: e.key})
 }
 
-// takeDiskStale consumes key's stale mark. It also reports true for a
-// record validated no later than the floor a set overflow left behind.
-func (p *Proxy) takeDiskStale(key string, validatedAt time.Time) bool {
-	p.diskStaleMu.Lock()
-	defer p.diskStaleMu.Unlock()
-	_, ok := p.diskStale[key]
-	if ok {
-		delete(p.diskStale, key)
+// takeStale consumes key's stale mark, returning what it announced. A
+// copy validated no later than the floor a set overflow left behind
+// counts as marked, with an unknown announcement.
+func (p *Proxy) takeStale(key string, validatedAt time.Time) (announced time.Time, marked bool) {
+	p.staleMu.Lock()
+	defer p.staleMu.Unlock()
+	announced, marked = p.staleMarks[key]
+	if marked {
+		delete(p.staleMarks, key)
 	}
-	return ok || !validatedAt.After(p.diskStaleFloor)
+	if !validatedAt.After(p.staleFloor) {
+		return time.Time{}, true
+	}
+	return announced, marked
 }
 
 // rehydrate re-admits disk records into the in-memory store at startup.

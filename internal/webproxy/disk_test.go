@@ -855,8 +855,16 @@ func TestInvalidationsDuringDemotionChurnLeaveNoStaleCopy(t *testing.T) {
 // resident, yet the installed copy must be polled once more, so the
 // update is served as soon as the proxy is quiet.
 func TestInvalidationDuringFetchIsNotLost(t *testing.T) {
-	for _, onDisk := range []bool{false, true} {
-		t.Run(fmt.Sprintf("onDisk=%v", onDisk), func(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		disk, onDisk bool
+	}{
+		{"onDisk=false", true, false},
+		{"onDisk=true", true, true},
+		{"memoryOnly", false, false},
+	} {
+		onDisk := tc.onDisk
+		t.Run(tc.name, func(t *testing.T) {
 			lm := time.Unix(1_600_000_000, 0)
 			var mu sync.Mutex
 			body, reqs := "v0", 0
@@ -880,11 +888,11 @@ func TestInvalidationDuringFetchIsNotLost(t *testing.T) {
 				}
 				fmt.Fprint(w, served)
 			})
-			px, _ = newHandlerProxy(t, handler, Config{
-				Bounds:       noRefreshBounds,
-				DefaultDelta: time.Hour,
-				DiskDir:      t.TempDir(),
-			})
+			cfg := Config{Bounds: noRefreshBounds, DefaultDelta: time.Hour}
+			if tc.disk {
+				cfg.DiskDir = t.TempDir()
+			}
+			px, _ = newHandlerProxy(t, handler, cfg)
 			if onDisk {
 				// A record from an earlier process: it promotes through a
 				// validating fetch.
@@ -911,6 +919,46 @@ func TestInvalidationDuringFetchIsNotLost(t *testing.T) {
 	}
 }
 
+// TestInvalidationAtFetchedVersionCostsNoPoll: an invalidation that
+// races an admission but announces the very version the fetch returned
+// is a duplicate (origins modify strictly forward), so the admitted copy
+// is current and no second request is owed.
+func TestInvalidationAtFetchedVersionCostsNoPoll(t *testing.T) {
+	lm := time.Unix(1_600_000_000, 0)
+	var mu sync.Mutex
+	reqs := 0
+	var px *Proxy
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		reqs++
+		first := reqs == 1
+		mu.Unlock()
+		if first {
+			px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: "/x", Seq: 1, ModTime: lm})
+		}
+		w.Header().Set("Last-Modified", lm.UTC().Format(http.TimeFormat))
+		fmt.Fprint(w, "v0")
+	})
+	px, _ = newHandlerProxy(t, handler, Config{Bounds: noRefreshBounds, DefaultDelta: time.Hour})
+	if _, got, _ := proxyGet(t, px, "/x"); got != "v0" {
+		t.Fatalf("first serve = %q, want v0", got)
+	}
+	if polls := px.PushStats().Polls; polls != 0 {
+		t.Errorf("%d pushed polls queued for a duplicate announcement", polls)
+	}
+	px.staleMu.Lock()
+	left := len(px.staleMarks)
+	px.staleMu.Unlock()
+	if left != 0 {
+		t.Errorf("%d stale marks left after the admission consumed its own", left)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if reqs != 1 {
+		t.Errorf("origin saw %d requests, want only the admission", reqs)
+	}
+}
+
 // TestDiskStaleOverflowRaisesFloor: the stale-record set stays bounded;
 // overflowing it forgets the individual marks but makes every record
 // validated up to that instant validate on promotion, so no mark is
@@ -919,24 +967,24 @@ func TestDiskStaleOverflowRaisesFloor(t *testing.T) {
 	clk := newSimClock()
 	px := newDiskSimProxy(t, newCountingOrigin(), clk, Config{})
 	validated := clk.Now()
-	for i := 0; i <= diskStaleMax; i++ {
+	for i := 0; i <= staleMarkMax; i++ {
 		key := fmt.Sprintf("/o/%d", i)
 		px.disk.Put(diskstore.Record{Key: key, ValidatedAt: validated, TTR: time.Hour}, []byte("b"))
-		px.markDiskStale(key)
+		px.markStale(key, time.Time{})
 	}
-	px.diskStaleMu.Lock()
-	n := len(px.diskStale)
-	px.diskStaleMu.Unlock()
-	if n > diskStaleMax {
-		t.Fatalf("stale set holds %d keys, bound %d", n, diskStaleMax)
+	px.staleMu.Lock()
+	n := len(px.staleMarks)
+	px.staleMu.Unlock()
+	if n > staleMarkMax {
+		t.Fatalf("stale set holds %d keys, bound %d", n, staleMarkMax)
 	}
-	if !px.takeDiskStale("/o/0", validated) {
+	if _, marked := px.takeStale("/o/0", validated); !marked {
 		t.Error("a mark forgotten by the overflow no longer forces validation")
 	}
-	if px.takeDiskStale("/o/0", validated.Add(time.Nanosecond)) {
+	if _, marked := px.takeStale("/o/0", validated.Add(time.Nanosecond)); marked {
 		t.Error("a record validated after the overflow is still forced to validate")
 	}
-	if !px.takeDiskStale(fmt.Sprintf("/o/%d", diskStaleMax), validated.Add(time.Second)) {
+	if _, marked := px.takeStale(fmt.Sprintf("/o/%d", staleMarkMax), validated.Add(time.Second)); !marked {
 		t.Error("the mark that overflowed the set was dropped")
 	}
 }

@@ -209,10 +209,12 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		if p.applyPushedToDisk(ev) {
 			return // demoted object: its disk record absorbed the update
 		}
-		// A demoted object's record now predates the update: mark it so
-		// the next promotion validates. A promotion that raced this
-		// event has made the object resident again; handle it as such.
-		if e = p.markDiskStale(eventCacheKey(ev.Key)); e == nil {
+		// A demoted object's record, or the response of an admission
+		// fetch in flight, now predates the update: mark it so the next
+		// promotion validates and the admission polls once more. An
+		// admission or promotion that raced this event has made the
+		// object resident again; handle it as such.
+		if e = p.markStale(eventCacheKey(ev.Key), ev.ModTime); e == nil {
 			p.pushDropped.Add(1)
 			return
 		}
@@ -315,6 +317,7 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		e.lastMod = ev.ModTime
 		e.hasLastMod = true
 	}
+	e.renderHeaders()
 	if e.isValue {
 		if v, ok := parseValueBody(body); ok {
 			e.value = v
@@ -621,8 +624,8 @@ type PushStats struct {
 	// Events counts update notifications received.
 	Events uint64
 	// Polls counts pushed jobs enqueued (coalesced bursts enqueue one),
-	// including the re-polls of a disk-tier copy installed while an
-	// invalidation for it was in flight (see markDiskStale). With
+	// including the re-polls of a copy admitted or promoted while an
+	// invalidation for it was in flight (see markStale). With
 	// PushValues each job first tries to install the event's payload
 	// and only polls when that fails.
 	Polls uint64

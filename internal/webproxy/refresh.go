@@ -102,13 +102,15 @@ func (p *Proxy) workerLoop(w *worker) {
 }
 
 // dispatchLoop pops due entries off the schedule and hands them to their
-// affinity workers. It sleeps until the heap's earliest instant, waking
-// early when the schedule changes.
+// affinity workers. It sleeps until the heap's earliest instant (the
+// armed instant, recorded under schedMu), waking early when a poll is
+// booked before it.
 func (p *Proxy) dispatchLoop() {
 	defer p.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
+		p.dispatchPasses.Add(1)
 		now := p.cfg.Clock()
 		simNow := p.toSim(now)
 		var due []*entry
@@ -137,6 +139,7 @@ func (p *Proxy) dispatchLoop() {
 				wait = 0
 			}
 		}
+		p.armedAt = simNow.Add(wait)
 		p.schedMu.Unlock()
 		for _, e := range due {
 			p.workerFor(e).enqueue(job{e: e, kind: core.PollRegular})
@@ -170,7 +173,8 @@ func (p *Proxy) kick() {
 // never (re)scheduled: the eviction token is set before unschedule takes
 // schedMu, so checking it under schedMu closes the race with a poll
 // finishing while its entry is being evicted — whichever side runs
-// second leaves the entry off the heap.
+// second leaves the entry off the heap. The dispatcher is woken only
+// when the poll falls before its armed instant.
 func (p *Proxy) reschedule(e *entry, at time.Time) {
 	p.schedMu.Lock()
 	if e.evicted.Load() {
@@ -178,21 +182,27 @@ func (p *Proxy) reschedule(e *entry, at time.Time) {
 		return
 	}
 	e.baseNextAt = at
-	p.setNextAt(e, at)
+	earlier := p.setNextAt(e, at)
 	p.schedMu.Unlock()
-	p.kick()
+	if earlier {
+		p.kick()
+	}
 }
 
 // setNextAt books e's next regular poll at the wall-clock instant at,
-// keyed on the heap by its position on the simulated timeline. Callers
-// hold schedMu.
-func (p *Proxy) setNextAt(e *entry, at time.Time) {
+// keyed on the heap by its position on the simulated timeline, and
+// reports whether it falls before the dispatcher's armed instant (a
+// later one needs no wake: the dispatcher re-reads the heap when its
+// timer fires). Callers hold schedMu.
+func (p *Proxy) setNextAt(e *entry, at time.Time) bool {
 	e.nextAt = at
+	sim := p.toSim(at)
 	if e.item != nil {
-		p.schedule.Reschedule(e.item, p.toSim(at))
+		p.schedule.Reschedule(e.item, sim)
 	} else {
-		e.item = p.schedule.Push(p.toSim(at), e)
+		e.item = p.schedule.Push(sim, e)
 	}
+	return sim.Before(p.armedAt)
 }
 
 // rescheduleHybrid sets e's next regular poll ttr from now, stretched
@@ -210,9 +220,11 @@ func (p *Proxy) rescheduleHybrid(e *entry, now time.Time, ttr time.Duration) {
 		return
 	}
 	e.baseNextAt = now.Add(ttr)
-	p.setNextAt(e, now.Add(p.stretchTTR(e, ttr)))
+	earlier := p.setNextAt(e, now.Add(p.stretchTTR(e, ttr)))
 	p.schedMu.Unlock()
-	p.kick()
+	if earlier {
+		p.kick()
+	}
 }
 
 // unschedule removes e's pending poll, if any, from the refresh heap.
@@ -361,8 +373,10 @@ func (p *Proxy) pollEntry(e *entry, kind core.PollKind) {
 	// advance lastMod without touching headers, so the periodic
 	// stretched poll's 304 is the only channel left for a tolerance
 	// change to reach this proxy and its children.
-	if cc := resp.header.Get("Cache-Control"); cc != "" {
+	rerender := false
+	if cc := resp.header.Get("Cache-Control"); cc != "" && cc != e.cacheControl {
 		e.cacheControl = cc
+		rerender = true
 	}
 	prev := core.ObjectState{ValidatedAt: p.toSim(prevValidated), Value: e.value, Fetched: true}
 	var prevBody []byte
@@ -383,11 +397,15 @@ func (p *Proxy) pollEntry(e *entry, kind core.PollKind) {
 			e.lastMod = resp.lastMod
 			e.hasLastMod = true
 		}
+		rerender = true
 		if e.isValue {
 			if v, ok := parseValueBody(resp.body); ok {
 				e.value = v
 			}
 		}
+	}
+	if rerender {
+		e.renderHeaders()
 	}
 	obs.HasValue, obs.Value = e.isValue, e.value
 	step := core.Refresh(e.policy, prev, kind, p.toSim(now), obs)

@@ -250,9 +250,9 @@ type Config struct {
 	// restart rehydrates the cache warm with learned TTR state intact.
 	// Empty disables persistence (the default).
 	DiskDir string
-	// DiskMaxBytes bounds the disk tier's blob bytes; the oldest-
-	// validated records are dropped beyond it. Zero or negative means
-	// unbounded.
+	// DiskMaxBytes bounds the body bytes of the disk tier's live
+	// records; the oldest-validated records are dropped beyond it. Zero
+	// or negative means unbounded.
 	DiskMaxBytes int64
 	// DiskGrace bounds how stale a rehydrated entry may be at startup
 	// and still be served before its re-validation poll completes
@@ -354,6 +354,14 @@ type entry struct {
 	hasLastMod   bool
 	validatedAt  time.Time
 	failures     int // consecutive upstream failures
+	// hdrContentType, hdrCacheControl and hdrLastMod are the serve
+	// path's pre-rendered header values for the three fields above (nil
+	// when the field is unset): shared, read-only slices assigned
+	// straight into response header maps. renderHeaders rebuilds them
+	// under mu whenever those fields change.
+	hdrContentType  []string
+	hdrCacheControl []string
+	hdrLastMod      []string
 
 	// Value-domain objects (origin advertised x-cc-vdelta): the body is
 	// parsed as a decimal value and the entry runs an AdaptiveTTR
@@ -430,6 +438,36 @@ type entry struct {
 	refbit atomic.Bool
 }
 
+// renderHeaders rebuilds e's pre-rendered header values from its
+// content type, Cache-Control and Last-Modified. Callers hold e.mu or
+// own e exclusively.
+func (e *entry) renderHeaders() {
+	e.hdrContentType = headerValue(e.contentType)
+	e.hdrCacheControl = headerValue(e.cacheControl)
+	e.hdrLastMod = nil
+	if e.hasLastMod {
+		e.hdrLastMod = []string{e.lastMod.UTC().Format(http.TimeFormat)}
+	}
+}
+
+// headerValue is v as a one-element header value, or nil when v is
+// empty. Its capacity is one, so even an Add on a response header map
+// holding it appends into a fresh array, never into the shared one.
+func headerValue(v string) []string {
+	if v == "" {
+		return nil
+	}
+	return []string{v}
+}
+
+// X-Cache header values, shared by every response.
+var (
+	xCacheHit    = []string{"HIT"}
+	xCacheMiss   = []string{"MISS"}
+	xCacheBypass = []string{"BYPASS"}
+	xCacheGrace  = []string{"GRACE"}
+)
+
 // markAccessed sets the CLOCK access bit. Steady-state hits find the bit
 // already set and stay read-only — no lock and no extra contended
 // cache-line write on the hit path; only the first hit after a sweep
@@ -467,6 +505,12 @@ type Proxy struct {
 
 	schedMu  sync.Mutex
 	schedule eventq.Queue
+	// armedAt is the simulated instant the dispatcher's timer is armed
+	// for: the heap head at its last pass, or an hour on when the heap
+	// was empty. Guarded by schedMu; a poll booked at or after it needs
+	// no wake. dispatchPasses counts dispatcher passes.
+	armedAt        simtime.Time
+	dispatchPasses atomic.Uint64
 
 	workers []*worker
 	wake    chan struct{}
@@ -530,17 +574,21 @@ type Proxy struct {
 	diskFresh       atomic.Uint64
 	diskRehydrated  atomic.Uint64
 	diskGraceServes atomic.Uint64
-	// diskStale holds keys whose disk record may be older than what the
-	// proxy learned while the object was not resident (an invalidation
-	// that found it demoted or mid-admission, a refresh that finished
-	// after its entry left the store); their next promotion validates,
-	// and an admission or promotion that raced the mark polls once more
-	// (see markDiskStale). When the set would
-	// outgrow diskStaleMax it is emptied and diskStaleFloor moves to
-	// now: every record validated at or before the floor validates too.
-	diskStaleMu    sync.Mutex
-	diskStale      map[string]struct{}
-	diskStaleFloor time.Time
+
+	// staleMarks holds keys whose copy outside the store may be older
+	// than what the proxy learned while the object was not resident: an
+	// invalidation or refresh that found the key mid-admission (on every
+	// proxy), or demoted to its disk record. Each maps to the newest
+	// modification an invalidation announced for it (zero: unknown). A
+	// promotion of a marked record validates, and an admission or
+	// promotion that raced the mark polls once more unless its copy is
+	// already at the announced version (see markStale). When the set
+	// would outgrow staleMarkMax it is emptied and staleFloor moves to
+	// now: every copy validated at or before the floor is treated as
+	// marked.
+	staleMu    sync.Mutex
+	staleMarks map[string]time.Time
+	staleFloor time.Time
 
 	// hits counts every cache hit since start. It is the one shared
 	// counter the hit path writes, so padding keeps it off the cache
@@ -799,7 +847,15 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.hits.Add(1)
 		p.hits.Add(1)
 		e.markAccessed()
-		p.serveEntry(w, r, e, "HIT")
+		status := xCacheHit
+		if e.suspect.Load() {
+			// A rehydrated copy awaiting its re-validation poll: served,
+			// but labeled — the client sees that the staleness bound is
+			// the configured grace window, not Δ (see Config.DiskGrace).
+			status = xCacheGrace
+			p.diskGraceServes.Add(1)
+		}
+		p.serveEntry(w, r, e, status)
 		return
 	}
 
@@ -816,9 +872,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := v.(*entry)
-	status := "MISS"
+	status := xCacheMiss
 	if e.capped {
-		status = "BYPASS" // served, but refused residency at capacity
+		status = xCacheBypass // served, but refused residency at capacity
 	}
 	p.serveEntry(w, r, e, status)
 }
@@ -829,61 +885,52 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // cached Last-Modified) is answered 304 with no body — that is how a
 // child proxy in a hierarchy revalidates against this one without
 // re-downloading, exactly as this proxy revalidates against its origin.
-func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cacheStatus string) {
-	if cacheStatus == "HIT" && e.suspect.Load() {
-		// A rehydrated copy awaiting its re-validation poll: served, but
-		// labeled — the client sees that the staleness bound is the
-		// configured grace window, not Δ (see Config.DiskGrace).
-		cacheStatus = "GRACE"
-		p.diskGraceServes.Add(1)
-	}
+func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cacheStatus []string) {
 	e.mu.RLock()
 	body := e.body
-	contentType := e.contentType
-	cacheControl := e.cacheControl
+	contentType, cacheControl, lastModHdr := e.hdrContentType, e.hdrCacheControl, e.hdrLastMod
 	lastMod, hasLastMod := e.lastMod, e.hasLastMod
 	e.mu.RUnlock()
+	h := w.Header()
 	if hasLastMod {
 		if ims := r.Header.Get("If-Modified-Since"); ims != "" {
 			if since, err := http.ParseTime(ims); err == nil && !lastMod.After(since) {
-				setObjectHeaders(w, "", cacheControl, lastMod, true, cacheStatus)
+				setObjectHeaders(h, nil, cacheControl, lastModHdr, cacheStatus)
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
 		}
 	}
-	writeObject(w, r, body, contentType, cacheControl, lastMod, hasLastMod, cacheStatus)
-}
-
-// setObjectHeaders writes the response headers shared by 200 and 304
-// replies. The origin's Cache-Control (carrying the paper's §5.1
-// tolerance directives: Δ, group, δ, Δv) is forwarded verbatim so a
-// child proxy learns the same consistency parameters this proxy did.
-func setObjectHeaders(w http.ResponseWriter, contentType, cacheControl string, lastMod time.Time, hasLastMod bool, cacheStatus string) {
-	if contentType != "" {
-		w.Header().Set("Content-Type", contentType)
-	}
-	if cacheControl != "" {
-		w.Header().Set("Cache-Control", cacheControl)
-	}
-	if hasLastMod {
-		w.Header().Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
-	}
-	w.Header().Set("X-Cache", cacheStatus)
-}
-
-func writeObject(w http.ResponseWriter, r *http.Request, body []byte, contentType, cacheControl string, lastMod time.Time, hasLastMod bool, cacheStatus string) {
-	setObjectHeaders(w, contentType, cacheControl, lastMod, hasLastMod, cacheStatus)
+	setObjectHeaders(h, contentType, cacheControl, lastModHdr, cacheStatus)
 	if r.Method == http.MethodHead {
 		// HEAD gets the representation's headers — Content-Length
 		// included, which net/http cannot infer with no body written —
 		// and nothing else.
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		h.Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusOK)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
+}
+
+// setObjectHeaders writes the response headers shared by 200 and 304
+// replies from an entry's pre-rendered values (nil ones are omitted).
+// The origin's Cache-Control (carrying the paper's §5.1 tolerance
+// directives: Δ, group, δ, Δv) is forwarded verbatim so a child proxy
+// learns the same consistency parameters this proxy did. The keys are
+// already canonical, so the slices go straight into the map.
+func setObjectHeaders(h http.Header, contentType, cacheControl, lastMod, cacheStatus []string) {
+	if contentType != nil {
+		h["Content-Type"] = contentType
+	}
+	if cacheControl != nil {
+		h["Cache-Control"] = cacheControl
+	}
+	if lastMod != nil {
+		h["Last-Modified"] = lastMod
+	}
+	h["X-Cache"] = cacheStatus
 }
 
 // admit fetches the object for the first time and registers it with the
@@ -945,11 +992,9 @@ func (p *Proxy) admit(key string) (*entry, error) {
 		return e, nil
 	}
 	p.persistEntry(e)
-	if p.disk != nil && p.takeDiskStale(key, fetchStart) {
-		// An invalidation arrived while the fetch ran (see
-		// markDiskStale): the admitted copy may predate it.
-		p.queueStalePoll(e)
-	}
+	// An invalidation that arrived while the fetch ran (see markStale)
+	// may announce a version the admitted copy predates.
+	p.pollIfMarked(e, fetchStart)
 	if obs := p.cfg.PollObserver; obs != nil {
 		obs(PollObservation{
 			Key: key, At: now, Modified: true, Initial: true,
@@ -1010,6 +1055,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		delta:        a.delta,
 		groupDelta:   a.groupDelta,
 	}
+	e.renderHeaders()
 	e.suspect.Store(a.suspect)
 	if p.cfg.PushValues {
 		e.bodyDigest = a.bodyDigest
